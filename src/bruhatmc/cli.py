@@ -46,7 +46,9 @@ EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 EXIT_LOWCOUNT = 4
 
-MC_SCHEMA = "mc-v1"
+MC_SCHEMA = "mc-v2"
+# schemas fit still reads: mc-v1 rows are identical, only the stream layout differs
+MC_READABLE = (MC_SCHEMA, "mc-v1")
 GAUSS_SCHEMA = "gauss-v1"
 CHAINSTAT_SCHEMA = "chainstat-v1"
 NAIVE_MC_MAX_N = 64
@@ -76,6 +78,12 @@ def _int_list(text: str, name: str) -> list[int]:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"{name}: expected comma-separated integers, got {text!r}") from None
+
+
+def _check_workers(workers: int) -> int:
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    return workers
 
 
 def _broadcast(values: list[int], count: int, name: str) -> list[int]:
@@ -147,9 +155,9 @@ def _estimate_rows(results: list[EstimateResult]) -> list[list]:
 
 def _read_mc_csv(path: str) -> list[EstimateResult]:
     lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith(f"# schema={MC_SCHEMA}"):
+    if not lines or not lines[0].startswith(tuple(f"# schema={v} " for v in MC_READABLE)):
         raise ConfigError(f"{path}: missing or mismatched schema header (need {MC_SCHEMA})")
-    if lines[1].split(",") != MC_COLUMNS:
+    if len(lines) < 2 or lines[1].split(",") != MC_COLUMNS:
         raise ConfigError(f"{path}: column header mismatch")
     results = []
     for line in lines[2:]:
@@ -222,6 +230,7 @@ def _cmd_chainstat(args, argv):
     ys = _int_list(args.y, "--y")
     if len(xs) != len(ys):
         raise ConfigError(f"--x and --y must pair up, got {len(xs)} vs {len(ys)}")
+    _check_workers(args.workers)
     import math
 
     rows = []
@@ -296,6 +305,7 @@ def _cmd_mc(args, argv):
     started = _now()
     ns = _int_list(args.n, "--n")
     trials = _broadcast(_int_list(args.trials, "--trials"), len(ns), "--trials")
+    _check_workers(args.workers)
     if any(n > NAIVE_MC_MAX_N for n in ns) and not args.force:
         raise LowCountRefusal(
             f"naive Monte Carlo refused for n > {NAIVE_MC_MAX_N} (successes become "
@@ -348,6 +358,7 @@ def _cmd_gauss(args, argv):
     started = _now()
     grid = _int_list(args.grid, "--grid")
     trials = _broadcast(_int_list(args.trials, "--trials"), len(grid), "--trials")
+    _check_workers(args.workers)
     results = []
     for m, t in zip(grid, trials):
         r = sheet_persistence(
@@ -388,6 +399,8 @@ def _cmd_lishao(args, argv):
 
 
 def _cmd_fkg(args, argv):
+    if args.pairs < 1:
+        raise ConfigError(f"--pairs must be >= 1, got {args.pairs}")
     stream = trial_stream(args.seed)
     lines = ["pair,p_a,p_b,p_both,product,holds"]
     worst = None
@@ -465,9 +478,7 @@ def _cmd_pipeline_scaling(args, argv):
     if any(t < 1 for t in trials):
         raise ConfigError(f"trials must be positive, got {trials}")
     seed = int(config["seed"])
-    workers = int(config["workers"])
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    workers = _check_workers(int(config["workers"]))
     force = config["force"].lower() in ("true", "1", "yes")
     if max(grid) > NAIVE_MC_MAX_N and not force:
         raise LowCountRefusal(

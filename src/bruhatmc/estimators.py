@@ -1,9 +1,11 @@
 """Monte Carlo estimators and scaling fits for comparability and persistence.
 
-Every estimator is reproducible from its seed alone: trial randomness is
-derived from counter-based streams keyed by (seed, trial index) or, for the
-sheet engine, (seed, block index) with a fixed block layout, so results are
-bit-identical no matter how many workers execute the blocks.
+Comparability, box persistence and sheet persistence each ask whether a
+prefix-sum field stays at or above a floor row after row; all three run on
+one batched kernel, _survivors, fed rows of permutation-pair or sheet
+increments.  Each fixed-size block of trials draws from one counter-based
+stream keyed by (seed, block index), so results are bit-identical no matter
+how many workers execute the blocks.
 """
 from __future__ import annotations
 
@@ -17,13 +19,13 @@ from functools import partial
 import numpy as np
 
 from ._parallel import run_blocks
-from .order import _leq_scan
-from .perms import _MASK64, trial_stream
+from .perms import trial_stream
 
 _Z95 = 1.959963984540054  # normal 97.5% quantile for Wilson intervals
 _MC_BLOCK = 4096  # trials per merge block (comparability / box persistence)
 _SHEET_BLOCK = 8192  # trials per sheet block; each block owns one stream
 _SHEET_PREFILTER = 256  # leading row-1 columns checked before the full row
+_PAIR_DRAW = 1 << 18  # entries per drawn permutation array (sub-batch cap)
 LOW_COUNT_THRESHOLD = 20
 
 
@@ -71,78 +73,75 @@ class EstimateResult:
         return self.successes < LOW_COUNT_THRESHOLD
 
 
-class _FastStreams:
-    """Reuses one Philox bit generator, re-keying it per trial.
+def _survivors(row, rows: range, first: int, floor_level: float, count: int) -> int:
+    """Number of a block's ``count`` trials whose running row stays at or
+    above ``floor_level`` on every row a >= ``first`` of ``rows``.
 
-    Equivalent to constructing trial_stream(seed, t) afresh (the template
-    state is captured before any draw, so the output buffer starts empty)
-    but several times faster in tight loops.
+    ``row(a, idx)`` returns ``(live, inc)``: the trials of ``idx`` it has not
+    already ruled out (a mask or ``slice(None)``) and their column-prefix-
+    summed increments of row a on the column window.  Failed trials are
+    compacted away after each row; the scan stops when none are left.
     """
-
-    def __init__(self, seed: int):
-        self._bg = np.random.Philox(key=[0, 0])
-        self._template = self._bg.state
-        self._counter = np.zeros(4, dtype=np.uint64)
-        self._seed = seed & _MASK64
-        self.generator = np.random.Generator(self._bg)
-
-    def rekey(self, trial: int) -> np.random.Generator:
-        st = dict(self._template)
-        st["state"] = {
-            "counter": self._counter,
-            "key": np.array([self._seed, trial & _MASK64], dtype=np.uint64),
-        }
-        self._bg.state = st
-        return self.generator
+    idx = np.arange(count)
+    z = None
+    for a in rows:
+        live, inc = row(a, idx)
+        idx = idx[live]
+        z = inc if z is None else z[live] + inc
+        if a >= first:
+            keep = z.min(axis=1) >= floor_level
+            idx, z = idx[keep], z[keep]
+            if idx.size == 0:
+                break
+    return idx.size
 
 
-def _compare_block(lo: int, hi: int, seed: int, n: int) -> int:
-    streams = _FastStreams(seed)
+def _pair_block(
+    lo: int, hi: int, seed: int, n: int, rows: range, first: int, cols: range, floor_level: float
+) -> int:
+    """Successes within one block of permutation pairs (p, t).
+
+    Row a of Z adds [b >= p(a)] - [b >= t(a)] on the columns b in ``cols``.
+    The block's pairs come from trial_stream(seed, block), drawn p then t in
+    sub-batches of at most _PAIR_DRAW entries per array; each sub-batch is
+    drawn in full before its scan, so the pairs do not depend on the floor.
+    """
+    g = trial_stream(seed, lo // _MC_BLOCK)
+    dtype = np.int16 if n < 2 ** 15 else np.int32
+    base = np.arange(n, dtype=dtype)
+    b = np.arange(cols.start - 1, cols.stop - 1, dtype=dtype)  # 0-based b - 1
+    batch = max(1, _PAIR_DRAW // n)
     succ = 0
-    for t in range(lo, hi):
-        g = streams.rekey(t)
-        p = g.permutation(n) + 1
-        q = g.permutation(n) + 1
-        if _leq_scan(p.tolist(), q.tolist(), n) is None:
-            succ += 1
+    for start in range(lo, hi, batch):
+        count = min(batch, hi - start)
+        tile = np.tile(base, (count, 1))
+        p = g.permuted(tile, axis=1)
+        t = g.permuted(tile, axis=1)
+
+        def row(a, idx):
+            ge_p = b >= p[idx, a - 1][:, None]
+            ge_t = b >= t[idx, a - 1][:, None]
+            return slice(None), np.subtract(ge_p, ge_t, dtype=dtype)
+
+        succ += _survivors(row, rows, first, floor_level, count)
     return succ
 
 
 def estimate_comparability(n: int, trials: int, seed: int, workers: int = 1) -> EstimateResult:
     """Estimate P(p <= t) for independent uniform permutations of [n].
 
-    Each trial draws a fresh pair from its own (seed, trial) stream and runs
-    the early-exit prefix scan, so throughput is dominated by cheap failed
-    comparisons.
+    Z(a, b) must stay >= 0 on every row and column; the batched scan drops a
+    pair at its first failing row, so failed comparisons stay cheap.
     """
     if n < 1 or trials < 1:
         raise ValueError(f"need n >= 1 and trials >= 1, got n={n} trials={trials}")
     start = time.perf_counter()
-    fn = partial(_compare_block, seed=seed, n=n)
+    fn = partial(
+        _pair_block, seed=seed, n=n, rows=range(1, n + 1), first=1, cols=range(1, n + 1),
+        floor_level=0,
+    )
     succ = sum(run_blocks(trials, _MC_BLOCK, fn, workers))
     return EstimateResult.from_counts(n, trials, succ, seed, time.perf_counter() - start)
-
-
-def _box_persistence_block(
-    lo: int, hi: int, seed: int, n: int, x: int, y: int, floor_level: float
-) -> int:
-    streams = _FastStreams(seed)
-    fx = min((5 * x) // 4, n)
-    fy = min((5 * y) // 4, n)
-    rows = np.arange(1, n + 1)
-    succ = 0
-    for t in range(lo, hi):
-        g = streams.rekey(t)
-        p = g.permutation(n)
-        q = g.permutation(n)
-        z = np.zeros((n + 1, n + 1), dtype=np.int16)
-        z[rows, p + 1] += 1
-        z[rows, q + 1] -= 1
-        np.cumsum(z, axis=0, out=z)
-        np.cumsum(z, axis=1, out=z)
-        if int(z[x : fx + 1, y : fy + 1].min()) >= floor_level:
-            succ += 1
-    return succ
 
 
 def estimate_box_persistence(
@@ -155,8 +154,10 @@ def estimate_box_persistence(
     if c_log < 0 or trials < 1:
         raise ValueError(f"need c_log >= 0 and trials >= 1, got {c_log}, {trials}")
     start = time.perf_counter()
-    floor_level = -c_log * math.log(n)
-    fn = partial(_box_persistence_block, seed=seed, n=n, x=x, y=y, floor_level=floor_level)
+    fn = partial(
+        _pair_block, seed=seed, n=n, rows=range(1, min((5 * x) // 4, n) + 1), first=x,
+        cols=range(y, min((5 * y) // 4, n) + 1), floor_level=-c_log * math.log(n),
+    )
     succ = sum(run_blocks(trials, _MC_BLOCK, fn, workers))
     return EstimateResult.from_counts(n, trials, succ, seed, time.perf_counter() - start)
 
@@ -166,11 +167,11 @@ def _sheet_block(
 ) -> int:
     """Successes within one block; all randomness from the block's stream.
 
-    Trials stream row by row with early abort; the first rows of all trials
-    in the block are drawn as one matrix, surviving trials continue batched.
+    Rows are drawn only for surviving trials.  Row 1 draws its first
+    _SHEET_PREFILTER columns for every trial and the rest only for trials
+    that stay above the floor on those columns.
     """
     g = trial_stream(seed, lo // _SHEET_BLOCK)
-    count = hi - lo
 
     def draw(shape):
         if mode == "gaussian":
@@ -178,26 +179,20 @@ def _sheet_block(
         u = g.random(shape)
         return (u < q).astype(np.float64) - (u > 1.0 - q)
 
-    c1 = min(_SHEET_PREFILTER, m)
-    first = draw((count, c1))
-    np.cumsum(first, axis=1, out=first)
-    alive = first.min(axis=1) >= floor_level
-    prev = first[alive]
-    if m > c1:
-        rest = draw((prev.shape[0], m - c1))
+    def row(a, idx):
+        c1 = m if a > 1 else min(_SHEET_PREFILTER, m)
+        inc = draw((idx.size, c1))
+        np.cumsum(inc, axis=1, out=inc)
+        if c1 == m:
+            return slice(None), inc
+        live = inc.min(axis=1) >= floor_level
+        head = inc[live]
+        rest = draw((head.shape[0], m - c1))
         np.cumsum(rest, axis=1, out=rest)
-        rest += prev[:, -1][:, None]
-        keep = rest.min(axis=1) >= floor_level
-        prev = np.concatenate([prev[keep], rest[keep]], axis=1)
-    for _ in range(1, m):
-        if prev.shape[0] == 0:
-            return 0
-        row = draw((prev.shape[0], m))
-        np.cumsum(row, axis=1, out=row)
-        prev = prev + row
-        keep = prev.min(axis=1) >= floor_level
-        prev = prev[keep]
-    return prev.shape[0]
+        rest += head[:, -1][:, None]
+        return live, np.concatenate([head, rest], axis=1)
+
+    return _survivors(row, range(1, m + 1), 1, floor_level, hi - lo)
 
 
 def sheet_persistence(

@@ -110,13 +110,18 @@ def dominance_table(p: Permutation) -> DominanceTable:
             f"n={n} exceeds the table materialization cap {MAX_TABLE_SIZE}; "
             "stream rows with dominance_rows instead"
         )
-    dtype = np.min_scalar_type(n)
-    counts = np.zeros((n + 1, n + 1), dtype=dtype)
-    idx = np.fromiter(p.values, dtype=np.intp, count=n)
-    counts[np.arange(1, n + 1), idx] = 1
+    return DominanceTable(n, dominance_counts(np.fromiter(p.values, dtype=np.intp, count=n)))
+
+
+def dominance_counts(word: np.ndarray) -> np.ndarray:
+    """The (n+1) x (n+1) prefix counts of a 1-indexed one-line word; the
+    unvalidated, uncapped core of dominance_table."""
+    n = len(word)
+    counts = np.zeros((n + 1, n + 1), dtype=np.min_scalar_type(n))
+    counts[np.arange(1, n + 1), word] = 1
     np.cumsum(counts, axis=0, out=counts)
     np.cumsum(counts, axis=1, out=counts)
-    return DominanceTable(n, counts)
+    return counts
 
 
 def dominance_rows(p: Permutation) -> Iterator[np.ndarray]:

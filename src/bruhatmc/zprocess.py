@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from ._parallel import merge_mean_var, run_blocks
-from .perms import MAX_TABLE_SIZE, Permutation, trial_stream
+from .perms import MAX_TABLE_SIZE, Permutation, dominance_counts, trial_stream
 
 _STAT_BLOCK = 256  # trials per merge block; fixed so merges are reproducible
 
@@ -138,15 +138,6 @@ def _window(v: int, n: int) -> tuple[int, int]:
     return v, min((5 * v) // 4, n)
 
 
-def _prefix_counts(word: np.ndarray, n: int) -> np.ndarray:
-    """Dominance cumsum table of a raw 1-indexed word, int32."""
-    c = np.zeros((n + 1, n + 1), dtype=np.int32)
-    c[np.arange(1, n + 1), word] = 1
-    np.cumsum(c, axis=0, out=c)
-    np.cumsum(c, axis=1, out=c)
-    return c
-
-
 def _rect_stat_block(lo: int, hi: int, seed: int, n: int, x: int, y: int) -> tuple[int, float, float]:
     x0, x1 = _window(x, n)
     y0, y1 = _window(y, n)
@@ -156,7 +147,7 @@ def _rect_stat_block(lo: int, hi: int, seed: int, n: int, x: int, y: int) -> tup
     expect = area / n
     for t in range(lo, hi):
         word = trial_stream(seed, t).permutation(n) + 1
-        c = _prefix_counts(word, n)
+        c = dominance_counts(word)
         sub = c[x0 : x1 + 1, y0 : y1 + 1].astype(np.float64)
         cnt = sub - c[x0, y0 : y1 + 1][None, :] - c[x0 : x1 + 1, y0][:, None] + c[x0, y0]
         stat = float(np.abs(cnt - expect).max())

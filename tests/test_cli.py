@@ -161,6 +161,25 @@ class TestFit:
         assert code == EXIT_CONFIG
         assert "schema" in err
 
+    def test_schema_line_only_is_config_error(self, capsys, tmp_path):
+        bad = tmp_path / "empty.csv"
+        bad.write_text(f"# schema={MC_SCHEMA} software=bruhatmc-0.1.0 seed=1\n")
+        code, _, err = run(capsys, "fit", "--input", str(bad))
+        assert code == EXIT_CONFIG
+        assert len(err.splitlines()) == 1 and "column header" in err
+
+    def test_reads_mc_v1(self, capsys, tmp_path):
+        src = self._make_results(capsys, tmp_path)
+        text = src.read_text()
+        assert text.startswith(f"# schema={MC_SCHEMA} ")
+        old = tmp_path / "old.csv"
+        old.write_text(text.replace(f"# schema={MC_SCHEMA} ", "# schema=mc-v1 ", 1))
+        code, out_new, _ = run(capsys, "fit", "--input", str(src))
+        assert code == EXIT_OK
+        code, out_old, _ = run(capsys, "fit", "--input", str(old))
+        assert code == EXIT_OK
+        assert out_old == out_new
+
 
 class TestGauss:
     def test_stdout_csv(self, capsys):
@@ -238,6 +257,28 @@ class TestFkg:
         code, out, _ = run(capsys, "fkg", "--n", "3", "--pairs", "25", "--seed", "11")
         assert code == EXIT_OK
         assert "violations: 0/25" in out
+
+    @pytest.mark.parametrize("pairs", ["0", "-4"])
+    def test_nonpositive_pairs_is_config_error(self, capsys, pairs):
+        code, out, err = run(capsys, "fkg", "--n", "3", "--pairs", pairs, "--seed", "11")
+        assert code == EXIT_CONFIG
+        assert out == "" and "--pairs" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc", "--n", "4", "--trials", "100", "--seed", "1"],
+        ["gauss", "--grid", "8", "--threshold", "1", "--trials", "100", "--seed", "1"],
+        ["chainstat", "--n", "64", "--x", "8", "--y", "8", "--trials", "10", "--seed", "1"],
+    ],
+    ids=["mc", "gauss", "chainstat"],
+)
+def test_nonpositive_workers_is_config_error(capsys, argv, workers):
+    code, out, err = run(capsys, *argv, "--workers", workers)
+    assert code == EXIT_CONFIG
+    assert out == "" and "workers must be >= 1" in err
 
 
 class TestPipelineScaling:

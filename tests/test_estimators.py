@@ -5,7 +5,6 @@ import pytest
 
 from bruhatmc.estimators import (
     EstimateResult,
-    _FastStreams,
     estimate_box_persistence,
     estimate_comparability,
     fit_scaling,
@@ -15,7 +14,9 @@ from bruhatmc.estimators import (
     sheet_persistence,
     wilson_interval,
 )
-from bruhatmc.perms import trial_stream
+from bruhatmc.order import is_leq_strong
+from bruhatmc.perms import Permutation, trial_stream
+from bruhatmc.zprocess import z_table
 from fractions import Fraction
 
 
@@ -44,16 +45,43 @@ class TestWilson:
             wilson_interval(5, 4)
 
 
-class TestFastStreams:
-    def test_matches_fresh_streams(self):
-        fast = _FastStreams(99)
-        for trial in (0, 1, 17, 2**40):
-            g = fast.rekey(trial)
-            a = (g.permutation(20), g.standard_normal(8))
-            ref = trial_stream(99, trial)
-            b = (ref.permutation(20), ref.standard_normal(8))
-            assert (a[0] == b[0]).all()
-            assert (a[1] == b[1]).all()
+def drawn_pairs(n, count, seed):
+    """The pairs block 0 of the pair estimators draws: p then t, one row each."""
+    g = trial_stream(seed, 0)
+    tile = np.tile(np.arange(n), (count, 1))
+    p, t = g.permuted(tile, axis=1) + 1, g.permuted(tile, axis=1) + 1
+    return [(Permutation(tuple(a.tolist())), Permutation(tuple(b.tolist()))) for a, b in zip(p, t)]
+
+
+class TestSurvivalKernel:
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_comparability_matches_strong_order_oracle(self, n):
+        count, seed = 3000, 123
+        expected = sum(is_leq_strong(p, t).leq for p, t in drawn_pairs(n, count, seed))
+        assert estimate_comparability(n, count, seed).successes == expected
+
+    def test_box_window_matches_z_table_oracle(self):
+        n, x, y, c_log, count, seed = 40, 10, 12, 0.5, 2000, 77
+        floor_level = -c_log * math.log(n)
+        expected = sum(
+            int(z_table(p, t).z[x : 5 * x // 4 + 1, y : 5 * y // 4 + 1].min()) >= floor_level
+            for p, t in drawn_pairs(n, count, seed)
+        )
+        assert 0 < expected < count
+        assert estimate_box_persistence(n, x, y, c_log, count, seed).successes == expected
+
+    @pytest.mark.parametrize(
+        "args, kwargs, successes",
+        [
+            ((32, 1.0, 30_000, 21), {}, 84),
+            ((300, 60.0, 8192, 9), {}, 143),
+            ((16, 1.0, 20_000, 5), {"mode": "zeta"}, 9101),
+            ((300, 60.0, 8192, 9), {"mode": "zeta", "p": 0.5}, 187),
+        ],
+    )
+    def test_sheet_layout_pinned(self, args, kwargs, successes):
+        # m = 300 takes the 256-column row-1 prefilter path
+        assert sheet_persistence(*args, **kwargs).successes == successes
 
 
 class TestComparabilityEstimator:
