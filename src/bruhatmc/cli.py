@@ -21,6 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
+from ._parallel import shared_pool
 from .dists import (
     HyperGeomParams,
     bernoulli_ratio,
@@ -75,9 +76,19 @@ def _log(msg: str):
 
 def _int_list(text: str, name: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"{name}: expected comma-separated integers, got {text!r}") from None
+    if not values:
+        raise ConfigError(f"{name}: expected at least one integer, got {text!r}")
+    return values
+
+
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror or exc})") from None
 
 
 def _check_workers(workers: int) -> int:
@@ -154,7 +165,7 @@ def _estimate_rows(results: list[EstimateResult]) -> list[list]:
 
 
 def _read_mc_csv(path: str) -> list[EstimateResult]:
-    lines = Path(path).read_text().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or not lines[0].startswith(tuple(f"# schema={v} " for v in MC_READABLE)):
         raise ConfigError(f"{path}: missing or mismatched schema header (need {MC_SCHEMA})")
     if len(lines) < 2 or lines[1].split(",") != MC_COLUMNS:
@@ -234,15 +245,16 @@ def _cmd_chainstat(args, argv):
     import math
 
     rows = []
-    for x, y in zip(xs, ys):
-        if args.stat == "rect":
-            summary = max_rect_stat(args.n, x, y, args.trials, args.seed, args.workers)
-            normalizer = math.sqrt(x * y / args.n) + math.log(args.n)
-        else:
-            summary = max_strip_stat(args.n, x, y, args.trials, args.seed, args.workers)
-            normalizer = math.sqrt(x * y / args.n) + 1.0
-        rows.append([args.n, x, y, summary.mean, summary.stderr, normalizer])
-        _log(f"chainstat {args.stat} n={args.n} x={x} y={y}: mean={summary.mean:.4f}")
+    with shared_pool(args.workers):
+        for x, y in zip(xs, ys):
+            if args.stat == "rect":
+                summary = max_rect_stat(args.n, x, y, args.trials, args.seed, args.workers)
+                normalizer = math.sqrt(x * y / args.n) + math.log(args.n)
+            else:
+                summary = max_strip_stat(args.n, x, y, args.trials, args.seed, args.workers)
+                normalizer = math.sqrt(x * y / args.n) + 1.0
+            rows.append([args.n, x, y, summary.mean, summary.stderr, normalizer])
+            _log(f"chainstat {args.stat} n={args.n} x={x} y={y}: mean={summary.mean:.4f}")
     meta = {"stat": args.stat, "trials": args.trials, "seed": args.seed}
     outputs = _emit(_csv_text(CHAINSTAT_SCHEMA, meta, CHAINSTAT_COLUMNS, rows), args.out)
     params = {
@@ -273,6 +285,8 @@ def _cmd_hyper(args, argv):
         payload["variance"] = str(var)
         payload["variance_float"] = float(var)
     elif args.sample is not None:
+        if args.sample < 0:
+            raise ConfigError(f"--sample must be >= 0, got {args.sample}")
         stream = trial_stream(args.seed)
         draws = hypergeom_sample(params, stream, size=args.sample)
         hist = {}
@@ -312,12 +326,13 @@ def _cmd_mc(args, argv):
             "vanishingly rare); pass --force to override"
         )
     results = []
-    for n, t in zip(ns, trials):
-        r = estimate_comparability(n, t, args.seed, workers=args.workers)
-        if r.low_count:
-            _log(f"LOW-COUNT: n={n} produced only {r.successes} successes")
-        _log(f"mc n={n}: p_hat={r.p_hat:.4g} [{r.ci_low:.4g}, {r.ci_high:.4g}] ({r.wall_time:.1f}s)")
-        results.append(r)
+    with shared_pool(args.workers):
+        for n, t in zip(ns, trials):
+            r = estimate_comparability(n, t, args.seed, workers=args.workers)
+            if r.low_count:
+                _log(f"LOW-COUNT: n={n} produced only {r.successes} successes")
+            _log(f"mc n={n}: p_hat={r.p_hat:.4g} [{r.ci_low:.4g}, {r.ci_high:.4g}] ({r.wall_time:.1f}s)")
+            results.append(r)
     meta = {"seed": args.seed}
     outputs = _emit(_csv_text(MC_SCHEMA, meta, MC_COLUMNS, _estimate_rows(results)), args.out)
     _write_manifest(outputs, argv, {"command": "mc", "n": ns, "trials": trials, "seed": args.seed}, started)
@@ -360,14 +375,15 @@ def _cmd_gauss(args, argv):
     trials = _broadcast(_int_list(args.trials, "--trials"), len(grid), "--trials")
     _check_workers(args.workers)
     results = []
-    for m, t in zip(grid, trials):
-        r = sheet_persistence(
-            m, args.threshold, t, args.seed, mode=args.mode, p=args.p, workers=args.workers
-        )
-        if r.low_count:
-            _log(f"LOW-COUNT: m={m} produced only {r.successes} successes")
-        _log(f"gauss m={m}: p_hat={r.p_hat:.4g} ({r.wall_time:.1f}s)")
-        results.append(r)
+    with shared_pool(args.workers):
+        for m, t in zip(grid, trials):
+            r = sheet_persistence(
+                m, args.threshold, t, args.seed, mode=args.mode, p=args.p, workers=args.workers
+            )
+            if r.low_count:
+                _log(f"LOW-COUNT: m={m} produced only {r.successes} successes")
+            _log(f"gauss m={m}: p_hat={r.p_hat:.4g} ({r.wall_time:.1f}s)")
+            results.append(r)
     meta = {"mode": args.mode, "threshold": args.threshold, "seed": args.seed}
     if args.mode == "zeta":
         meta["p"] = "default-1/m^2" if args.p is None else args.p
@@ -440,7 +456,7 @@ DEFAULT_CONFIG = {
 
 def _parse_config_file(path: str) -> dict:
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -470,7 +486,7 @@ def _cmd_pipeline_scaling(args, argv):
         config["force"] = "true"
 
     grid = _int_list(config["n_grid"], "n_grid")
-    if not grid or any(v < 1 for v in grid):
+    if any(v < 1 for v in grid):
         raise ConfigError(f"n_grid must be positive integers, got {grid}")
     if any(a >= b for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"n_grid must be strictly increasing, got {grid}")
@@ -489,12 +505,13 @@ def _cmd_pipeline_scaling(args, argv):
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     results = []
-    for n, t in zip(grid, trials):
-        r = estimate_comparability(n, t, seed, workers=workers)
-        if r.low_count:
-            _log(f"LOW-COUNT: n={n} produced only {r.successes} successes")
-        _log(f"mc n={n}: p_hat={r.p_hat:.4g} ({r.wall_time:.1f}s)")
-        results.append(r)
+    with shared_pool(workers):
+        for n, t in zip(grid, trials):
+            r = estimate_comparability(n, t, seed, workers=workers)
+            if r.low_count:
+                _log(f"LOW-COUNT: n={n} produced only {r.successes} successes")
+            _log(f"mc n={n}: p_hat={r.p_hat:.4g} ({r.wall_time:.1f}s)")
+            results.append(r)
     csv_path = out_dir / "results.csv"
     csv_path.write_text(_csv_text(MC_SCHEMA, {"seed": seed}, MC_COLUMNS, _estimate_rows(results)))
     payload = _fit_payload(results, include_low_count=False)

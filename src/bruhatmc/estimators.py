@@ -105,18 +105,26 @@ def _pair_block(
     The block's pairs come from trial_stream(seed, block), drawn p then t in
     sub-batches of at most _PAIR_DRAW entries per array; each sub-batch is
     drawn in full before its scan, so the pairs do not depend on the floor.
+    Each array is shuffled in place in one intp buffer (numpy's shuffle is
+    fastest at that width and draws the same numbers at any width), then
+    narrowed to the kernel dtype.
     """
     g = trial_stream(seed, lo // _MC_BLOCK)
     dtype = np.int16 if n < 2 ** 15 else np.int32
-    base = np.arange(n, dtype=dtype)
     b = np.arange(cols.start - 1, cols.stop - 1, dtype=dtype)  # 0-based b - 1
     batch = max(1, _PAIR_DRAW // n)
+    buf = np.empty((min(batch, hi - lo), n), dtype=np.intp)
     succ = 0
     for start in range(lo, hi, batch):
         count = min(batch, hi - start)
-        tile = np.tile(base, (count, 1))
-        p = g.permuted(tile, axis=1)
-        t = g.permuted(tile, axis=1)
+        tile = buf[:count]
+
+        def draw():
+            tile[:] = np.arange(n)
+            return g.permuted(tile, axis=1, out=tile).astype(dtype)
+
+        p = draw()
+        t = draw()
 
         def row(a, idx):
             ge_p = b >= p[idx, a - 1][:, None]

@@ -88,6 +88,11 @@ class TestHyper:
         code, _, err = run(capsys, "hyper", "--N", "10", "--B", "4", "--A", "5")
         assert code == EXIT_CONFIG
 
+    def test_negative_sample_is_config_error(self, capsys):
+        code, out, err = run(capsys, "hyper", "--N", "10", "--B", "4", "--A", "5", "--sample", "-1")
+        assert code == EXIT_CONFIG
+        assert out == "" and "--sample must be >= 0" in err
+
 
 class TestBernratio:
     def test_small_case(self, capsys):
@@ -167,6 +172,11 @@ class TestFit:
         code, _, err = run(capsys, "fit", "--input", str(bad))
         assert code == EXIT_CONFIG
         assert len(err.splitlines()) == 1 and "column header" in err
+
+    def test_missing_input_is_config_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "fit", "--input", str(tmp_path / "absent.csv"))
+        assert code == EXIT_CONFIG
+        assert out == "" and err.count("\n") == 1 and "absent.csv: cannot read" in err
 
     def test_reads_mc_v1(self, capsys, tmp_path):
         src = self._make_results(capsys, tmp_path)
@@ -281,6 +291,21 @@ def test_nonpositive_workers_is_config_error(capsys, argv, workers):
     assert out == "" and "workers must be >= 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc", "--n", ",", "--trials", "10", "--seed", "1"],
+        ["gauss", "--grid", ",", "--threshold", "1", "--trials", "10", "--seed", "1"],
+        ["chainstat", "--n", "64", "--x", ",", "--y", ",", "--trials", "10", "--seed", "1"],
+    ],
+    ids=["mc", "gauss", "chainstat"],
+)
+def test_empty_integer_list_is_config_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == "" and "expected at least one integer" in err
+
+
 class TestPipelineScaling:
     def test_config_file_run(self, capsys, tmp_path):
         cfg = tmp_path / "sweep.cfg"
@@ -321,6 +346,11 @@ class TestPipelineScaling:
         code, _, err = run(capsys, "pipeline-scaling", "--config", str(cfg))
         assert code == EXIT_CONFIG
         assert "unknown key" in err
+
+    def test_missing_config_is_config_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "pipeline-scaling", "--config", str(tmp_path / "absent.cfg"))
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and "absent.cfg: cannot read" in err
 
     def test_large_grid_requires_force(self, capsys, tmp_path):
         code, _, _ = run(

@@ -83,6 +83,21 @@ class TestSurvivalKernel:
         # m = 300 takes the 256-column row-1 prefilter path
         assert sheet_persistence(*args, **kwargs).successes == successes
 
+    @pytest.mark.parametrize(
+        "estimate, args, successes",
+        [
+            (estimate_comparability, (40, 50_000, 2), 28),
+            (estimate_box_persistence, (1000, 300, 200, 1.0, 3000, 3), 1444),
+            (estimate_box_persistence, (60, 20, 20, 0, 400, 9), 136),
+            (estimate_box_persistence, (60, 20, 20, 0.5, 400, 9), 252),
+            (estimate_box_persistence, (60, 20, 20, 1, 400, 9), 354),
+            (estimate_box_persistence, (60, 20, 20, 2, 400, 9), 400),
+        ],
+    )
+    def test_pair_layout_pinned(self, estimate, args, successes):
+        # n = 40 draws each block whole; n = 1000 draws 262-trial sub-batches
+        assert estimate(*args).successes == successes
+
 
 class TestComparabilityEstimator:
     def test_n1_is_certain(self):
