@@ -7,7 +7,8 @@ records) and pure functions over them:
 - :mod:`bruhatmc.perms`      permutations, dominance tables, symmetry maps,
   reproducible counter-based sampling streams
 - :mod:`bruhatmc.order`      strong/weak Bruhat comparability, cover relations,
-  exhaustive small-n oracles
+  exact comparable-pair counts by a dynamic program over rows, small-n
+  cover-graph oracles
 - :mod:`bruhatmc.zprocess`   the prefix-difference process Z(a,b), rectangle
   sums and windowed maximum statistics
 - :mod:`bruhatmc.dists`      exact hypergeometric machinery, tail bounds and
@@ -15,7 +16,7 @@ records) and pure functions over them:
 - :mod:`bruhatmc.estimators` Monte Carlo estimators, scaling fits, Gaussian
   sheet persistence, the Li-Shao correlation constant
 - :mod:`bruhatmc.fkg`        FKG positive-correlation checks over up-sets of
-  the Bruhat order, exact corner-event probabilities
+  the Bruhat order, exact corner-event probabilities (row-transfer count)
 - :mod:`bruhatmc.cli`        command line front end with run manifests
 """
 

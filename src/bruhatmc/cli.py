@@ -38,7 +38,7 @@ from .estimators import (
     sheet_persistence,
 )
 from .fkg import fkg_check, random_upset
-from .order import exact_comparability_count, is_leq_strong, is_leq_weak
+from .order import EXACT_COUNT_CAP, exact_comparability_count, is_leq_strong, is_leq_weak
 from .perms import parse_permutation, trial_stream
 from .zprocess import max_rect_stat, max_strip_stat, z_table
 
@@ -211,7 +211,11 @@ def _cmd_check(args, argv):
 
 
 def _cmd_exact(args, argv):
-    count = exact_comparability_count(args.n, allow_large=args.allow_large)
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
+    if args.n > EXACT_COUNT_CAP:
+        raise ConfigError(f"--n {args.n} above the exact-count cap {EXACT_COUNT_CAP}")
+    count = exact_comparability_count(args.n)
     payload = {
         "n": count.n,
         "comparable_pairs": count.comparable_pairs,
@@ -547,9 +551,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", choices=["strong", "weak"], default="strong")
     p.set_defaults(fn=_cmd_check)
 
-    p = sub.add_parser("exact", help="exhaustive comparability count")
+    p = sub.add_parser("exact", help=f"exact comparability count by row transfer, n <= {EXACT_COUNT_CAP}")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--allow-large", action="store_true")
     p.set_defaults(fn=_cmd_exact)
 
     p = sub.add_parser("zmin", help="minimum of the prefix-difference table")

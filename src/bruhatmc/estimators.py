@@ -170,9 +170,32 @@ def estimate_box_persistence(
     return EstimateResult.from_counts(n, trials, succ, seed, time.perf_counter() - start)
 
 
-def _sheet_block(
-    lo: int, hi: int, seed: int, m: int, floor_level: float, mode: str, q: float
-) -> int:
+def _sheet_q(m: int, mode: str, p: float | None) -> float | None:
+    """Check a sheet's increment law.  Returns None for standard normal
+    increments, or in zeta mode q = p(1-p), the probability of each of +1
+    and -1 (default p = 1/m^2, a sparse sheet)."""
+    if mode == "gaussian":
+        if p is not None:
+            raise ValueError("p applies to zeta mode only")
+        return None
+    if mode != "zeta":
+        raise ValueError(f"unknown mode {mode!r}; expected 'gaussian' or 'zeta'")
+    if p is None:
+        p = 1.0 / (m * m)
+    if not 0 < p <= 0.5:
+        raise ValueError(f"zeta mode needs p in (0, 1/2], got {p}")
+    return p * (1.0 - p)
+
+
+def _sheet_increments(g: np.random.Generator, shape, q: float | None) -> np.ndarray:
+    """Draw increments of the law that _sheet_q returned."""
+    if q is None:
+        return g.standard_normal(shape)
+    u = g.random(shape)
+    return (u < q).astype(np.float64) - (u > 1.0 - q)
+
+
+def _sheet_block(lo: int, hi: int, seed: int, m: int, floor_level: float, q: float | None) -> int:
     """Successes within one block; all randomness from the block's stream.
 
     Rows are drawn only for surviving trials.  Row 1 draws its first
@@ -181,21 +204,15 @@ def _sheet_block(
     """
     g = trial_stream(seed, lo // _SHEET_BLOCK)
 
-    def draw(shape):
-        if mode == "gaussian":
-            return g.standard_normal(shape)
-        u = g.random(shape)
-        return (u < q).astype(np.float64) - (u > 1.0 - q)
-
     def row(a, idx):
         c1 = m if a > 1 else min(_SHEET_PREFILTER, m)
-        inc = draw((idx.size, c1))
+        inc = _sheet_increments(g, (idx.size, c1), q)
         np.cumsum(inc, axis=1, out=inc)
         if c1 == m:
             return slice(None), inc
         live = inc.min(axis=1) >= floor_level
         head = inc[live]
-        rest = draw((head.shape[0], m - c1))
+        rest = _sheet_increments(g, (head.shape[0], m - c1), q)
         np.cumsum(rest, axis=1, out=rest)
         rest += head[:, -1][:, None]
         return live, np.concatenate([head, rest], axis=1)
@@ -222,22 +239,10 @@ def sheet_persistence(
     """
     if m < 1 or trials < 1:
         raise ValueError(f"need m >= 1 and trials >= 1, got m={m} trials={trials}")
-    if mode == "gaussian":
-        if p is not None:
-            raise ValueError("p applies to zeta mode only")
-        floor_level = -threshold
-        q = 0.0
-    elif mode == "zeta":
-        if p is None:
-            p = 1.0 / (m * m)
-        if not 0 < p <= 0.5:
-            raise ValueError(f"zeta mode needs p in (0, 1/2], got {p}")
-        q = p * (1.0 - p)
-        floor_level = -threshold * math.sqrt(2.0 * q)
-    else:
-        raise ValueError(f"unknown mode {mode!r}; expected 'gaussian' or 'zeta'")
+    q = _sheet_q(m, mode, p)
+    floor_level = -threshold if q is None else -threshold * math.sqrt(2.0 * q)
     start = time.perf_counter()
-    fn = partial(_sheet_block, seed=seed, m=m, floor_level=floor_level, mode=mode, q=q)
+    fn = partial(_sheet_block, seed=seed, m=m, floor_level=floor_level, q=q)
     succ = sum(run_blocks(trials, _SHEET_BLOCK, fn, workers))
     return EstimateResult.from_counts(m, trials, succ, seed, time.perf_counter() - start)
 
@@ -265,18 +270,7 @@ def sheet_grid(
     with probability p(1-p) each in zeta mode."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    if mode == "gaussian":
-        inc = stream.standard_normal((m, m))
-    elif mode == "zeta":
-        if p is None:
-            p = 1.0 / (m * m)
-        if not 0 < p <= 0.5:
-            raise ValueError(f"zeta mode needs p in (0, 1/2], got {p}")
-        q = p * (1.0 - p)
-        u = stream.random((m, m))
-        inc = (u < q).astype(np.float64) - (u > 1.0 - q)
-    else:
-        raise ValueError(f"unknown mode {mode!r}; expected 'gaussian' or 'zeta'")
+    inc = _sheet_increments(stream, (m, m), _sheet_q(m, mode, p))
     g = np.zeros((m + 1, m + 1))
     np.cumsum(inc, axis=0, out=g[1:, 1:])
     np.cumsum(g[1:, 1:], axis=1, out=g[1:, 1:])

@@ -2,29 +2,24 @@
 
 Events over S_n are bitmasks indexed by the lexicographic one-line
 enumeration (order.all_perms), so probabilities are exact rationals and a
-reported inequality violation can only mean a code bug, never noise.
+reported inequality violation can only mean a code bug, never noise.  The
+corner-event and comparability probabilities come from order's row-transfer
+count, up to order.EXACT_COUNT_CAP.
 """
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from fractions import Fraction
 from math import ceil, factorial
 from typing import Callable
 
 import numpy as np
 
-from .order import all_perms, covering_successors, is_leq_strong
+from .order import _lex_index, _window_count, all_perms, covering_successors, exact_comparability_count
 from .perms import Permutation, sample_uniform
-from .zprocess import z_table
 
 UPSET_CAP = 6
 PRODUCT_EVENT_CAP = 4
-CORNER_CAP = 5
-
-
-def _lex_index(n: int) -> dict[tuple[int, ...], int]:
-    return {w: i for i, w in enumerate(itertools.permutations(range(1, n + 1)))}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -136,22 +131,12 @@ class ProductEvent:
             for p in perms
             for q in covering_successors(p)
         ]
-        for low, high in edges:
-            lo_rows, hi_rows = table[low], table[high]
-            if pi_direction == "increasing":
-                bad = lo_rows & ~hi_rows
-            else:
-                bad = hi_rows & ~lo_rows
-            if bad.any():
-                raise ValueError(f"predicate is not {pi_direction} in the first coordinate")
-        for low, high in edges:
-            lo_cols, hi_cols = table[:, low], table[:, high]
-            if tau_direction == "increasing":
-                bad = lo_cols & ~hi_cols
-            else:
-                bad = hi_cols & ~lo_cols
-            if bad.any():
-                raise ValueError(f"predicate is not {tau_direction} in the second coordinate")
+        for view, direction, coord in ((table, pi_direction, "first"), (table.T, tau_direction, "second")):
+            for low, high in edges:
+                below, above = view[low], view[high]
+                bad = below & ~above if direction == "increasing" else above & ~below
+                if bad.any():
+                    raise ValueError(f"predicate is not {direction} in the {coord} coordinate")
 
     @property
     def probability(self) -> Fraction:
@@ -175,24 +160,15 @@ def corner_events_equal(n: int) -> tuple[Fraction, Fraction, Fraction, Fraction]
     """Exact probabilities of the four quadrant persistence events with
     N = ceil(n/2): Z non-negative on [N]x[N], on [n-N,n]x[N], on
     [N]x[n-N,n], and on [n-N,n]x[n-N,n].  All four are equal by the
-    reflection symmetries of Z."""
-    if not 1 <= n <= CORNER_CAP:
-        raise ValueError(f"corner enumeration capped at n={CORNER_CAP}, got {n}")
+    reflection symmetries of Z; each is counted on its own window, so that
+    equality is a check, not an assumption."""
     half = ceil(n / 2)
-    lo = n - half
-    perms = all_perms(n)
-    counts = [0, 0, 0, 0]
-    for p in perms:
-        for t in perms:
-            z = z_table(p, t).z
-            if int(z[1 : half + 1, 1 : half + 1].min()) >= 0:
-                counts[0] += 1
-            if int(z[lo : n + 1, 1 : half + 1].min()) >= 0:
-                counts[1] += 1
-            if int(z[1 : half + 1, lo : n + 1].min()) >= 0:
-                counts[2] += 1
-            if int(z[lo : n + 1, lo : n + 1].min()) >= 0:
-                counts[3] += 1
+    head = range(1, half + 1)
+    tail = range(max(n - half, 1), n + 1)  # Z(0, .) = Z(., 0) = 0
+    counts = [
+        _window_count(n, rows, cols)
+        for rows, cols in ((head, head), (tail, head), (head, tail), (tail, tail))
+    ]
     size = factorial(n) ** 2
     return tuple(Fraction(c, size) for c in counts)
 
@@ -200,8 +176,4 @@ def corner_events_equal(n: int) -> tuple[Fraction, Fraction, Fraction, Fraction]
 def comparability_probability(n: int) -> Fraction:
     """Exact P(p <= t) over uniform S_n x S_n, for cross-checks against the
     corner-event product bound."""
-    perms = all_perms(n)
-    count = sum(
-        1 for p in perms for t in perms if is_leq_strong(p, t).leq
-    )
-    return Fraction(count, factorial(n) ** 2)
+    return exact_comparability_count(n).probability

@@ -6,23 +6,27 @@ prefix count of p's matrix.  The scan below walks rows top to bottom keeping
 the running prefix difference, so a violated coordinate near the top-left
 (the typical case for an incomparable random pair) aborts after O(n) work.
 
-The cover-graph machinery is an exhaustive oracle for small n, not the
-production path.
+Exact counts come from one dynamic program over rows, _window_count: the
+state after row a is the pair of value sets p and t have used so far, which
+fixes Z(a, .).  The cover-graph machinery is an exhaustive oracle for small
+n, not the production path.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
+from collections import defaultdict
 from fractions import Fraction
 from math import factorial
 
-from .perms import Permutation
+from .perms import Permutation, inversion_count
 
 # reachability_leq is an oracle; the cover graph blows up combinatorially
 REACHABILITY_CAP = 8
-# exhaustive pair enumeration: 7 means 5040^2 pairs, gated behind an override
-EXACT_COUNT_CAP = 6
-EXACT_COUNT_HARD_CAP = 7
+# row-transfer counts: the largest n whose full square and four corner
+# windows each take about 3 s or less
+EXACT_COUNT_CAP = 10
 CLOSURE_COUNT_CAP = 6
 
 
@@ -45,7 +49,7 @@ class ComparabilityVerdict:
 
 @dataclasses.dataclass(frozen=True)
 class ExactCount:
-    """Exhaustive count of ordered comparable pairs (p, t) with p <= t."""
+    """Exact count of ordered comparable pairs (p, t) with p <= t."""
 
     n: int
     comparable_pairs: int
@@ -147,27 +151,25 @@ def all_perms(n: int) -> list[Permutation]:
     return [Permutation(w) for w in itertools.permutations(range(1, n + 1))]
 
 
-_closure_cache: dict[int, dict[tuple[int, ...], int]] = {}
+@functools.cache
+def _lex_index(n: int) -> dict[tuple[int, ...], int]:
+    """Position of each one-line tuple in the lexicographic order of S_n;
+    one shared dict per n, which callers only read."""
+    return {w: i for i, w in enumerate(itertools.permutations(range(1, n + 1)))}
 
 
+@functools.cache
 def _closure_masks(n: int) -> dict[tuple[int, ...], int]:
     """For each p, the bitmask (over lexicographic indices) of all t >= p in
     the cover-graph closure.  Built once per n."""
-    if n in _closure_cache:
-        return _closure_cache[n]
-    perms = list(itertools.permutations(range(1, n + 1)))
-    index = {w: i for i, w in enumerate(perms)}
+    index = _lex_index(n)
     masks: dict[tuple[int, ...], int] = {}
     # process by descending inversion count so covers are already resolved
-    def inv(w):
-        return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
-
-    for w in sorted(perms, key=inv, reverse=True):
+    for w in sorted(index, key=lambda w: inversion_count(Permutation(w)), reverse=True):
         mask = 1 << index[w]
         for q in covering_successors(Permutation(w)):
             mask |= masks[q.values]
         masks[w] = mask
-    _closure_cache[n] = masks
     return masks
 
 
@@ -183,10 +185,7 @@ def reachability_leq(p: Permutation, t: Permutation) -> bool:
     if n > REACHABILITY_CAP:
         raise ValueError(f"n={n} above the reachability oracle cap {REACHABILITY_CAP}")
     if n <= CLOSURE_COUNT_CAP:
-        masks = _closure_masks(n)
-        perms = list(itertools.permutations(range(1, n + 1)))
-        index = {w: i for i, w in enumerate(perms)}
-        return bool(masks[p.values] >> index[t.values] & 1)
+        return bool(_closure_masks(n)[p.values] >> _lex_index(n)[t.values] & 1)
     if p.values == t.values:
         return True
     frontier = [p.values]
@@ -204,28 +203,55 @@ def reachability_leq(p: Permutation, t: Permutation) -> bool:
     return False
 
 
-def exact_comparability_count(n: int, allow_large: bool = False) -> ExactCount:
-    """Count ordered pairs (p, t) with p <= t by enumerating S_n x S_n with
-    the prefix-count scan.
+def _window_count(n: int, rows: range, cols: range) -> int:
+    """Number of pairs (p, t) in S_n x S_n with Z(a, b) >= 0 for every a in
+    ``rows`` and b in ``cols``, counted row by row.
 
-    n = 7 costs 5040^2 scans and must be requested with ``allow_large``.
+    A state is the pair of value sets p and t have used, as bitmasks (bit
+    v - 1 for value v), mapped to its number of partial pairs.  Row a adds
+    p's value, then t's value v; on a checked row that keeps Z >= 0 exactly
+    when no column is negative and v exceeds every column where Z is 0.
+    """
+    if n < 1:
+        raise ValueError(f"n={n}: exact counts need n >= 1")
+    if n > EXACT_COUNT_CAP:
+        raise ValueError(f"n={n} above the exact-count cap {EXACT_COUNT_CAP}")
+    masks = [(b, (1 << b) - 1) for b in cols]  # bits of the values <= b
+    last = max(rows)
+    states = {(0, 0): 1}
+    for a in range(1, last + 1):
+        half = defaultdict(int)  # states once p's value of row a is in
+        for (used_p, used_t), count in states.items():
+            for u in range(n):
+                if not used_p >> u & 1:
+                    half[used_p | 1 << u, used_t] += count
+        checked = masks if a in rows else ()
+        states = defaultdict(int)
+        for (used_p, used_t), count in half.items():
+            low = 0  # lowest bit t's value may take: above every column where Z is 0
+            for b, m in checked:
+                z = (used_p & m).bit_count() - (used_t & m).bit_count()
+                if z < 0:
+                    low = n
+                    break
+                if z == 0:
+                    low = b
+            for v in range(low, n):
+                if not used_t >> v & 1:
+                    states[used_p, used_t | 1 << v] += count
+    # rows past the window are free: (n - last)! ways for each permutation
+    return sum(states.values()) * factorial(n - last) ** 2
+
+
+def exact_comparability_count(n: int) -> ExactCount:
+    """Count ordered pairs (p, t) with p <= t: the row-transfer count over
+    the full n x n square, for 1 <= n <= EXACT_COUNT_CAP.
 
     >>> exact_comparability_count(3).comparable_pairs
     19
     """
-    cap = EXACT_COUNT_HARD_CAP if allow_large else EXACT_COUNT_CAP
-    if not 1 <= n <= cap:
-        raise ValueError(
-            f"n={n} above the enumeration cap {cap}"
-            + ("" if allow_large else " (pass allow_large=True for n=7)")
-        )
-    perms = list(itertools.permutations(range(1, n + 1)))
-    count = 0
-    for p in perms:
-        for t in perms:
-            if _leq_scan(p, t, n) is None:
-                count += 1
-    return ExactCount(n, count, factorial(n) ** 2)
+    square = range(1, n + 1)
+    return ExactCount(n, _window_count(n, square, square), factorial(n) ** 2)
 
 
 def comparability_count_via_covers(n: int) -> ExactCount:

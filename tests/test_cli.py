@@ -13,6 +13,7 @@ from bruhatmc.cli import (
     main,
     rerun_manifest,
 )
+from bruhatmc.order import EXACT_COUNT_CAP
 
 
 def run(capsys, *argv):
@@ -48,9 +49,21 @@ class TestExact:
         assert payload["comparable_pairs"] == 19
         assert payload["probability"] == "19/36"
 
+    def test_n7_needs_no_flag(self, capsys):
+        code, out, _ = run(capsys, "exact", "--n", "7")
+        assert code == EXIT_OK
+        assert json.loads(out)["probability"] == "3550919/25401600"
+
     def test_cap_is_config_error(self, capsys):
-        code, _, err = run(capsys, "exact", "--n", "7")
-        assert code == EXIT_CONFIG
+        code, out, err = run(capsys, "exact", "--n", str(EXACT_COUNT_CAP + 1))
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1 and "above the exact-count cap" in err
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_nonpositive_n_is_config_error(self, capsys, n):
+        code, out, err = run(capsys, "exact", "--n", n)
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1 and "must be >= 1" in err
 
 
 class TestZmin:

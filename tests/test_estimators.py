@@ -14,7 +14,7 @@ from bruhatmc.estimators import (
     sheet_persistence,
     wilson_interval,
 )
-from bruhatmc.order import is_leq_strong
+from bruhatmc.order import exact_comparability_count, is_leq_strong
 from bruhatmc.perms import Permutation, trial_stream
 from bruhatmc.zprocess import z_table
 from fractions import Fraction
@@ -113,6 +113,12 @@ class TestComparabilityEstimator:
         b = estimate_comparability(12, 30_000, 5, workers=2)
         keep = ("n", "trials", "successes", "p_hat", "ci_low", "ci_high", "seed")
         assert {k: getattr(a, k) for k in keep} == {k: getattr(b, k) for k in keep}
+
+    def test_agrees_with_exact_n8(self):
+        exact = float(exact_comparability_count(8).probability)
+        r = estimate_comparability(8, 200_000, 20261018)
+        se = math.sqrt(exact * (1 - exact) / r.trials)
+        assert abs(r.p_hat - exact) <= 5 * se
 
     def test_monotone_decrease_with_ci_separation(self):
         small = estimate_comparability(8, 200_000, 6)
@@ -240,6 +246,14 @@ class TestSheet:
         inc = g.increments()
         rebuilt = np.cumsum(np.cumsum(inc, axis=0), axis=1)
         assert np.allclose(rebuilt, g.g[1:, 1:])
+
+    def test_grid_law_parameters(self):
+        with pytest.raises(ValueError, match="zeta mode only"):
+            sheet_grid(4, trial_stream(1), mode="gaussian", p=0.1)
+        with pytest.raises(ValueError, match="p in"):
+            sheet_grid(4, trial_stream(1), mode="zeta", p=0.9)
+        with pytest.raises(ValueError, match="unknown mode"):
+            sheet_grid(4, trial_stream(1), mode="brownian")
 
     def test_zeta_grid_increments_are_signs(self):
         g = sheet_grid(12, trial_stream(9), mode="zeta", p=0.5)

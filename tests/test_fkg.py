@@ -13,11 +13,11 @@ from bruhatmc.fkg import (
     random_upset,
     upward_closure,
 )
-from bruhatmc.order import all_perms, covering_successors, is_leq_strong
+from bruhatmc.order import EXACT_COUNT_CAP, all_perms, covering_successors, is_leq_strong
 from bruhatmc.perms import Permutation, trial_stream
 from bruhatmc.zprocess import z_table
 
-# frozen by the exhaustive enumeration in this module
+# frozen by an enumeration of z_table over all of S_n x S_n
 CORNER_PROBS = {2: Fraction(3, 4), 3: Fraction(19, 36), 4: Fraction(77, 144), 5: Fraction(443, 1200)}
 
 
@@ -185,5 +185,7 @@ class TestCornerEvents:
             assert comparability_probability(n) >= corner ** 4
 
     def test_cap(self):
-        with pytest.raises(ValueError, match="capped"):
-            corner_events_equal(6)
+        with pytest.raises(ValueError, match=f"above the exact-count cap {EXACT_COUNT_CAP}"):
+            corner_events_equal(EXACT_COUNT_CAP + 1)
+        with pytest.raises(ValueError, match="need n >= 1"):
+            corner_events_equal(0)

@@ -1,10 +1,13 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bruhatmc.order import (
+    EXACT_COUNT_CAP,
     ComparabilityVerdict,
+    _window_count,
     all_perms,
     comparability_count_via_covers,
     covering_successors,
@@ -16,8 +19,9 @@ from bruhatmc.order import (
 from bruhatmc.perms import Permutation, inversion_count, sample_uniform, symmetry_map, trial_stream
 from bruhatmc.zprocess import z_table
 
-# frozen by the in-repo cover-closure oracle (see test_scan_and_closure_agree)
-EXACT_COMPARABLE = {1: 1, 2: 3, 3: 19, 4: 213, 5: 3781, 6: 98407}
+# frozen by the in-repo cover-closure oracle (see test_scan_and_closure_agree);
+# n = 7 by enumerating all 5040^2 pairs with the prefix-count scan
+EXACT_COMPARABLE = {1: 1, 2: 3, 3: 19, 4: 213, 5: 3781, 6: 98407, 7: 3_550_919}
 
 
 def random_pair(n, seed, trial=0):
@@ -192,6 +196,26 @@ class TestExactCounts:
             covers = comparability_count_via_covers(n)
             assert scan.comparable_pairs == covers.comparable_pairs == EXACT_COMPARABLE[n]
 
+    def test_matches_pair_enumeration(self):
+        for n in range(1, 7):
+            perms = all_perms(n)
+            count = sum(1 for p in perms for t in perms if is_leq_strong(p, t).leq)
+            assert exact_comparability_count(n).comparable_pairs == count
+
+    def test_n7_pinned(self):
+        count = exact_comparability_count(7)
+        assert count.comparable_pairs == EXACT_COMPARABLE[7]
+        assert count.total_pairs == 5040**2
+
+    def test_windows_match_z_tables(self):
+        for n in range(1, 5):
+            perms = all_perms(n)
+            zs = np.stack([z_table(p, t).z for p in perms for t in perms])
+            for r0, r1, c0, c1 in itertools.product(range(1, n + 1), repeat=4):
+                if r0 <= r1 and c0 <= c1:
+                    brute = int((zs[:, r0 : r1 + 1, c0 : c1 + 1].min(axis=(1, 2)) >= 0).sum())
+                    assert _window_count(n, range(r0, r1 + 1), range(c0, c1 + 1)) == brute
+
     def test_known_probabilities(self):
         assert exact_comparability_count(2).probability == Fraction(3, 4)
         assert exact_comparability_count(3).probability == Fraction(19, 36)
@@ -204,7 +228,7 @@ class TestExactCounts:
     def test_pairing_parity(self):
         # distinct comparable pairs pair up under (p, t) -> (t w0, p w0)
         # except the fixed pairs (p, p w0); parity must match the fixed count
-        for n in range(2, 5):
+        for n in range(2, 9):
             count = exact_comparability_count(n).comparable_pairs
             import math
 
@@ -216,10 +240,12 @@ class TestExactCounts:
             )
             assert (distinct - fixed) % 2 == 0
 
-    def test_cap_and_override(self):
-        with pytest.raises(ValueError, match="allow_large"):
-            exact_comparability_count(7)
-        with pytest.raises(ValueError, match="cap"):
-            exact_comparability_count(8, allow_large=True)
+    def test_n_out_of_range(self):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            exact_comparability_count(0)
+        with pytest.raises(ValueError, match="need n >= 1"):
+            exact_comparability_count(-2)
+        with pytest.raises(ValueError, match=f"above the exact-count cap {EXACT_COUNT_CAP}"):
+            exact_comparability_count(EXACT_COUNT_CAP + 1)
         with pytest.raises(ValueError, match="closure cap"):
             comparability_count_via_covers(7)
