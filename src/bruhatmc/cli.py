@@ -16,6 +16,7 @@ import dataclasses
 import datetime
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -50,7 +51,7 @@ EXIT_LOWCOUNT = 4
 MC_SCHEMA = "mc-v2"
 # schemas fit still reads: mc-v1 rows are identical, only the stream layout differs
 MC_READABLE = (MC_SCHEMA, "mc-v1")
-GAUSS_SCHEMA = "gauss-v1"
+GAUSS_SCHEMA = "gauss-v2"
 CHAINSTAT_SCHEMA = "chainstat-v1"
 NAIVE_MC_MAX_N = 64
 
@@ -378,6 +379,8 @@ def _cmd_gauss(args, argv):
     grid = _int_list(args.grid, "--grid")
     trials = _broadcast(_int_list(args.trials, "--trials"), len(grid), "--trials")
     _check_workers(args.workers)
+    if not (math.isfinite(args.threshold) and args.threshold >= 0):
+        raise ConfigError(f"--threshold must be finite and >= 0, got {args.threshold}")
     results = []
     with shared_pool(args.workers):
         for m, t in zip(grid, trials):

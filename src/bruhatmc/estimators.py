@@ -3,9 +3,12 @@
 Comparability, box persistence and sheet persistence each ask whether a
 prefix-sum field stays at or above a floor row after row; all three run on
 one batched kernel, _survivors, fed rows of permutation-pair or sheet
-increments.  Each fixed-size block of trials draws from one counter-based
-stream keyed by (seed, block index), so results are bit-identical no matter
-how many workers execute the blocks.
+increments.  The kernel visits a row in column chunks and drops a trial at
+the chunk where it fails: pair rows come as one chunk, sheet rows in chunks
+of 16, 32, 64, ... columns, drawn only for the trials still alive.  Each
+fixed-size block of trials draws from one counter-based stream keyed by
+(seed, block index), so results are bit-identical no matter how many
+workers execute the blocks.
 """
 from __future__ import annotations
 
@@ -24,7 +27,8 @@ from .perms import trial_stream
 _Z95 = 1.959963984540054  # normal 97.5% quantile for Wilson intervals
 _MC_BLOCK = 4096  # trials per merge block (comparability / box persistence)
 _SHEET_BLOCK = 8192  # trials per sheet block; each block owns one stream
-_SHEET_PREFILTER = 256  # leading row-1 columns checked before the full row
+_SHEET_CHUNK = 16  # width of a sheet row's first column chunk; later ones double
+_KILL_SHARE = 0.25  # a row is drawn in chunks after a row that killed this share
 _PAIR_DRAW = 1 << 18  # entries per drawn permutation array (sub-batch cap)
 LOW_COUNT_THRESHOLD = 20
 
@@ -73,26 +77,54 @@ class EstimateResult:
         return self.successes < LOW_COUNT_THRESHOLD
 
 
-def _survivors(row, rows: range, first: int, floor_level: float, count: int) -> int:
+def _survivors(row, rows: range, first: int, floor_level: float, count: int, bounds) -> int:
     """Number of a block's ``count`` trials whose running row stays at or
     above ``floor_level`` on every row a >= ``first`` of ``rows``.
 
-    ``row(a, idx)`` returns ``(live, inc)``: the trials of ``idx`` it has not
-    already ruled out (a mask or ``slice(None)``) and their column-prefix-
-    summed increments of row a on the column window.  Failed trials are
-    compacted away after each row; the scan stops when none are left.
+    ``row(a, idx, c0, c1)`` returns row a's increments for the trials
+    ``idx`` on window columns [c0, c1), prefix-summed along the row from c0.
+    The first row, and each row after one that killed at least _KILL_SHARE
+    of the trials it started with, is visited in the column chunks
+    [bounds[j], bounds[j + 1]): after each chunk the kernel adds the row's
+    carry and the previous row, checks the floor, and asks for later chunks
+    only for the trials still alive.  Other rows lose few trials and are
+    visited as one chunk, which costs less there.  The work per chunk
+    touches only the chunk's columns; the full row is compacted at most
+    once, at its end.  The scan stops when no trial is left.
     """
     idx = np.arange(count)
     z = None
+    chunked = True
     for a in rows:
-        live, inc = row(a, idx)
-        idx = idx[live]
-        z = inc if z is None else z[live] + inc
-        if a >= first:
-            keep = z.min(axis=1) >= floor_level
-            idx, z = idx[keep], z[keep]
-            if idx.size == 0:
-                break
+        start = idx.size
+        row_bounds = bounds if chunked else (0, bounds[-1])
+        pos = None  # row-start positions of the trials still alive; None: all
+        parts = []  # (chunk values, row-start positions of their trials)
+        carry = None
+        for c0, c1 in zip(row_bounds, row_bounds[1:]):
+            zc = row(a, idx if pos is None else idx[pos], c0, c1)
+            if carry is not None:
+                zc += carry[:, None]
+            if c1 < bounds[-1]:
+                carry = zc[:, -1].copy()
+            if z is not None:
+                zc += z[:, c0:c1] if pos is None else z[pos, c0:c1]
+            parts.append((zc, pos))
+            if a >= first:
+                keep = zc.min(axis=1) >= floor_level
+                if not keep.all():
+                    live = np.flatnonzero(keep)
+                    if live.size == 0:
+                        return 0
+                    pos = live if pos is None else pos[live]
+                    if carry is not None:
+                        carry = carry[live]
+        if pos is not None:
+            idx = idx[pos]
+        # keep, in each chunk, the rows of the trials alive at the row's end
+        pieces = [zc if at is pos else zc[pos if at is None else np.searchsorted(at, pos)] for zc, at in parts]
+        z = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
+        chunked = idx.size <= start * (1 - _KILL_SHARE)
     return idx.size
 
 
@@ -101,7 +133,8 @@ def _pair_block(
 ) -> int:
     """Successes within one block of permutation pairs (p, t).
 
-    Row a of Z adds [b >= p(a)] - [b >= t(a)] on the columns b in ``cols``.
+    Row a of Z adds [b >= p(a)] - [b >= t(a)] on the columns b in ``cols``,
+    scanned as one chunk (each entry already holds its whole row prefix).
     The block's pairs come from trial_stream(seed, block), drawn p then t in
     sub-batches of at most _PAIR_DRAW entries per array; each sub-batch is
     drawn in full before its scan, so the pairs do not depend on the floor.
@@ -126,12 +159,12 @@ def _pair_block(
         p = draw()
         t = draw()
 
-        def row(a, idx):
+        def row(a, idx, c0, c1):
             ge_p = b >= p[idx, a - 1][:, None]
             ge_t = b >= t[idx, a - 1][:, None]
-            return slice(None), np.subtract(ge_p, ge_t, dtype=dtype)
+            return np.subtract(ge_p, ge_t, dtype=dtype)
 
-        succ += _survivors(row, rows, first, floor_level, count)
+        succ += _survivors(row, rows, first, floor_level, count, (0, b.size))
     return succ
 
 
@@ -195,29 +228,33 @@ def _sheet_increments(g: np.random.Generator, shape, q: float | None) -> np.ndar
     return (u < q).astype(np.float64) - (u > 1.0 - q)
 
 
+def _sheet_bounds(m: int) -> tuple[int, ...]:
+    """Column chunk bounds of a sheet row: widths 16, 32, 64, ..., then
+    the remainder, so (0, 16, 48, 112, 240, 300) at m = 300."""
+    bounds, width = [0], _SHEET_CHUNK
+    while bounds[-1] < m:
+        bounds.append(min(bounds[-1] + width, m))
+        width *= 2
+    return tuple(bounds)
+
+
 def _sheet_block(lo: int, hi: int, seed: int, m: int, floor_level: float, q: float | None) -> int:
     """Successes within one block; all randomness from the block's stream.
 
-    Rows are drawn only for surviving trials.  Row 1 draws its first
-    _SHEET_PREFILTER columns for every trial and the rest only for trials
-    that stay above the floor on those columns.
+    Rows are drawn chunk by chunk in _sheet_bounds(m) order, each chunk only
+    for the trials still above the floor after the chunks and rows before
+    it, so a trial costs draws up to the chunk where it fails.  A row after
+    one that killed less than _KILL_SHARE of its trials is drawn whole.
+    The draw order is therefore fixed by the block's own trials, not by the
+    worker count (CSV schema gauss-v2).
     """
     g = trial_stream(seed, lo // _SHEET_BLOCK)
 
-    def row(a, idx):
-        c1 = m if a > 1 else min(_SHEET_PREFILTER, m)
-        inc = _sheet_increments(g, (idx.size, c1), q)
-        np.cumsum(inc, axis=1, out=inc)
-        if c1 == m:
-            return slice(None), inc
-        live = inc.min(axis=1) >= floor_level
-        head = inc[live]
-        rest = _sheet_increments(g, (head.shape[0], m - c1), q)
-        np.cumsum(rest, axis=1, out=rest)
-        rest += head[:, -1][:, None]
-        return live, np.concatenate([head, rest], axis=1)
+    def row(a, idx, c0, c1):
+        inc = _sheet_increments(g, (idx.size, c1 - c0), q)
+        return np.cumsum(inc, axis=1, out=inc)
 
-    return _survivors(row, range(1, m + 1), 1, floor_level, hi - lo)
+    return _survivors(row, range(1, m + 1), 1, floor_level, hi - lo, _sheet_bounds(m))
 
 
 def sheet_persistence(
@@ -239,6 +276,8 @@ def sheet_persistence(
     """
     if m < 1 or trials < 1:
         raise ValueError(f"need m >= 1 and trials >= 1, got m={m} trials={trials}")
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"need a finite threshold >= 0, got {threshold}")
     q = _sheet_q(m, mode, p)
     floor_level = -threshold if q is None else -threshold * math.sqrt(2.0 * q)
     start = time.perf_counter()

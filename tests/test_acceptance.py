@@ -296,7 +296,7 @@ def test_c12_sheet_persistence_form():
     results = []
     for m, trials in C12_BUDGETS:
         r = sheet_persistence(m, 1.0, trials, 1203, workers=WORKERS)
-        print(f"  m={m}: trials={trials} successes={r.successes} p_hat={r.p_hat:.4e}")
+        print(f"  m={m}: trials={trials} successes={r.successes} p_hat={r.p_hat:.4e} wall={r.wall_time:.1f}s")
         results.append(r)
     usable = [r for r in results if r.successes > 0]
     if len(usable) >= 3:

@@ -213,9 +213,30 @@ class TestGauss:
         )
         lines = out.splitlines()
         assert code == EXIT_OK
-        assert lines[0].startswith("# schema=gauss-v1")
+        assert lines[0].startswith("# schema=gauss-v2")
         assert len(lines) == 5
         assert "psi_hat" in err
+
+    def test_chunked_rows_are_worker_invariant(self, tmp_path):
+        # m = 300 rows end in a 60-column remainder chunk
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.csv"
+            argv = ["gauss", "--grid", "16,64,300", "--threshold", "15", "--trials", "20000",
+                    "--seed", "12", "--workers", workers, "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
+    def test_bad_threshold_is_config_error(self, capsys, threshold):
+        code, out, err = run(
+            capsys,
+            "gauss", "--grid", "8", f"--threshold={threshold}", "--trials", "100", "--seed", "7",
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.count("\n") == 1 and "--threshold must be finite and >= 0" in err
 
     def test_zeta_mode(self, capsys):
         code, out, _ = run(

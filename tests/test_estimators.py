@@ -5,6 +5,8 @@ import pytest
 
 from bruhatmc.estimators import (
     EstimateResult,
+    _sheet_bounds,
+    _survivors,
     estimate_box_persistence,
     estimate_comparability,
     fit_scaling,
@@ -70,17 +72,43 @@ class TestSurvivalKernel:
         assert 0 < expected < count
         assert estimate_box_persistence(n, x, y, c_log, count, seed).successes == expected
 
+    @pytest.mark.parametrize("m", [1, 15, 16, 17, 48, 49, 112, 113])
+    def test_chunked_rows_match_brute_force_minimum(self, m):
+        # integer increments keep every sum exact, so ties at the floor count
+        count = min(3000, 5_000_000 // (m * m))  # field and its sums stay under 100 MB
+        field = trial_stream(606, m).integers(-2, 3, size=(count, m, m)).astype(np.float64)
+        sums = np.cumsum(field, axis=1)
+        np.cumsum(sums, axis=2, out=sums)
+        minima = sums.min(axis=(1, 2))
+        del sums
+
+        def row(a, idx, c0, c1):
+            return np.cumsum(field[idx, a - 1, c0:c1], axis=1)
+
+        floors = sorted({float(f) for f in np.quantile(minima, [0.05, 0.3, 0.6, 0.95], method="lower")})
+        for floor_level in floors + [-1.0]:
+            expected = int((minima >= floor_level).sum())
+            got = _survivors(row, range(1, m + 1), 1, floor_level, count, _sheet_bounds(m))
+            assert got == expected, (m, floor_level)
+
+    def test_sheet_bounds_double_then_take_the_remainder(self):
+        assert _sheet_bounds(1) == (0, 1)
+        assert _sheet_bounds(16) == (0, 16)
+        assert _sheet_bounds(50) == (0, 16, 48, 50)
+        assert _sheet_bounds(300) == (0, 16, 48, 112, 240, 300)
+
     @pytest.mark.parametrize(
         "args, kwargs, successes",
         [
-            ((32, 1.0, 30_000, 21), {}, 84),
-            ((300, 60.0, 8192, 9), {}, 143),
+            ((32, 1.0, 30_000, 21), {}, 90),
+            ((300, 60.0, 8192, 9), {}, 147),
             ((16, 1.0, 20_000, 5), {"mode": "zeta"}, 9101),
-            ((300, 60.0, 8192, 9), {"mode": "zeta", "p": 0.5}, 187),
+            ((300, 60.0, 8192, 9), {"mode": "zeta", "p": 0.5}, 164),
         ],
     )
     def test_sheet_layout_pinned(self, args, kwargs, successes):
-        # m = 300 takes the 256-column row-1 prefilter path
+        # gauss-v2 counts; m = 32 rows span two chunks, m = 300 rows end in
+        # the 60-column remainder chunk (0, 16, 48, 112, 240, 300)
         assert sheet_persistence(*args, **kwargs).successes == successes
 
     @pytest.mark.parametrize(
@@ -209,6 +237,43 @@ class TestSheet:
     def test_huge_threshold_certain(self):
         r = sheet_persistence(8, 1e9, 500, 2)
         assert r.p_hat == 1.0
+
+    @pytest.mark.parametrize("m, threshold", [(2, 1.0), (2, 2.0), (3, 1.0), (3, 2.0)])
+    def test_dense_sign_sheet_matches_enumeration(self, m, threshold):
+        # zeta mode at p = 1/2: each cell is +1 or -1 with probability 1/4
+        # and 0 with probability 1/2; sum the law over all 3^(m^2) fields
+        cells = np.array(np.meshgrid(*[[-1.0, 0.0, 1.0]] * (m * m), indexing="ij")).reshape(m * m, -1).T
+        weight = np.prod(np.where(cells == 0, 0.5, 0.25), axis=1)
+        sums = np.cumsum(np.cumsum(cells.reshape(-1, m, m), axis=1), axis=2)
+        exact = float(weight[sums.min(axis=(1, 2)) >= -threshold * math.sqrt(0.5)].sum())
+        r = sheet_persistence(m, threshold, 100_000, 3107, mode="zeta", p=0.5)
+        assert abs(r.p_hat - exact) <= 5 * math.sqrt(exact * (1 - exact) / r.trials)
+
+    def test_single_cell_is_normal_cdf(self):
+        threshold = 0.7
+        exact = 0.5 * (1 + math.erf(threshold / math.sqrt(2)))
+        r = sheet_persistence(1, threshold, 50_000, 3108)
+        assert abs(r.p_hat - exact) <= 5 * math.sqrt(exact * (1 - exact) / r.trials)
+
+    @pytest.mark.parametrize("kwargs, seed", [({}, 3109), ({"mode": "zeta", "p": 0.5}, 3110)])
+    def test_three_chunk_rows_match_materialized_sheets(self, kwargs, seed):
+        # m = 50 rows span the chunks [0, 16), [16, 48), [48, 50); compare
+        # with whole sheets built by sheet_grid from fresh streams
+        m, threshold, grids = 50, 20.0, 8000
+        r = sheet_persistence(m, threshold, 40_000, seed, **kwargs)
+        # zeta thresholds scale by sqrt(2 p (1 - p)) = sqrt(1/2) at p = 1/2
+        floor_level = -threshold * (1.0 if not kwargs else math.sqrt(0.5))
+        stream = trial_stream(seed, 1 << 20)  # a block key the estimate does not use
+        hits = sum(sheet_grid(m, stream, **kwargs).g.min() >= floor_level for _ in range(grids))
+        other = hits / grids
+        assert 0.05 < other < 0.5
+        se = math.sqrt(r.p_hat * (1 - r.p_hat) / r.trials + other * (1 - other) / grids)
+        assert abs(r.p_hat - other) <= 5 * se
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_threshold(self, threshold):
+        with pytest.raises(ValueError, match="finite threshold >= 0"):
+            sheet_persistence(8, threshold, 100, 0)
 
     def test_worker_invariance(self):
         a = sheet_persistence(32, 1.0, 30_000, 21, workers=1)
