@@ -48,9 +48,9 @@ EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 EXIT_LOWCOUNT = 4
 
-MC_SCHEMA = "mc-v2"
-# schemas fit still reads: mc-v1 rows are identical, only the stream layout differs
-MC_READABLE = (MC_SCHEMA, "mc-v1")
+MC_SCHEMA = "mc-v3"
+# schemas fit still reads: older rows are identical, only the stream layout differs
+MC_READABLE = (MC_SCHEMA, "mc-v2", "mc-v1")
 GAUSS_SCHEMA = "gauss-v2"
 CHAINSTAT_SCHEMA = "chainstat-v1"
 NAIVE_MC_MAX_N = 64
@@ -381,6 +381,10 @@ def _cmd_gauss(args, argv):
     _check_workers(args.workers)
     if not (math.isfinite(args.threshold) and args.threshold >= 0):
         raise ConfigError(f"--threshold must be finite and >= 0, got {args.threshold}")
+    if args.p is not None and args.mode != "zeta":
+        raise ConfigError(f"--p applies to --mode zeta only, got --mode {args.mode}")
+    if args.p is not None and not 0 < args.p <= 0.5:
+        raise ConfigError(f"--p must be in (0, 1/2], got {args.p}")
     results = []
     with shared_pool(args.workers):
         for m, t in zip(grid, trials):

@@ -5,10 +5,13 @@ prefix-sum field stays at or above a floor row after row; all three run on
 one batched kernel, _survivors, fed rows of permutation-pair or sheet
 increments.  The kernel visits a row in column chunks and drops a trial at
 the chunk where it fails: pair rows come as one chunk, sheet rows in chunks
-of 16, 32, 64, ... columns, drawn only for the trials still alive.  Each
-fixed-size block of trials draws from one counter-based stream keyed by
-(seed, block index), so results are bit-identical no matter how many
-workers execute the blocks.
+of 16, 32, 64, ... columns, drawn only for the trials still alive.  Pair
+rows come from a row-by-row Fisher-Yates shuffle over per-pair pools of
+unused values: comparability draws a row only for the pairs still alive,
+and box persistence draws its window's rows for every pair before its scan
+so that its floors stay coupled.  Each fixed-size block of trials draws
+from one counter-based stream keyed by (seed, block index), so results are
+bit-identical no matter how many workers execute the blocks.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ _MC_BLOCK = 4096  # trials per merge block (comparability / box persistence)
 _SHEET_BLOCK = 8192  # trials per sheet block; each block owns one stream
 _SHEET_CHUNK = 16  # width of a sheet row's first column chunk; later ones double
 _KILL_SHARE = 0.25  # a row is drawn in chunks after a row that killed this share
-_PAIR_DRAW = 1 << 18  # entries per drawn permutation array (sub-batch cap)
+_PAIR_DRAW = 1 << 18  # entries per Fisher-Yates pool array (sub-batch cap)
 LOW_COUNT_THRESHOLD = 20
 
 
@@ -129,40 +132,53 @@ def _survivors(row, rows: range, first: int, floor_level: float, count: int, bou
 
 
 def _pair_block(
-    lo: int, hi: int, seed: int, n: int, rows: range, first: int, cols: range, floor_level: float
+    lo: int, hi: int, seed: int, n: int, rows: range, first: int, cols: range, floor_level: float,
+    upfront: bool = False,
 ) -> int:
     """Successes within one block of permutation pairs (p, t).
 
     Row a of Z adds [b >= p(a)] - [b >= t(a)] on the columns b in ``cols``,
     scanned as one chunk (each entry already holds its whole row prefix).
-    The block's pairs come from trial_stream(seed, block), drawn p then t in
-    sub-batches of at most _PAIR_DRAW entries per array; each sub-batch is
-    drawn in full before its scan, so the pairs do not depend on the floor.
-    Each array is shuffled in place in one intp buffer (numpy's shuffle is
-    fastest at that width and draws the same numbers at any width), then
-    narrowed to the kernel dtype.
+    The block's pairs come from trial_stream(seed, block) in sub-batches of
+    at most _PAIR_DRAW // n pairs, drawn row by row by a Fisher-Yates
+    shuffle (CSV schema mc-v3).  Each pair keeps two pools of unused values,
+    one for p and one for t, both starting as 0..n-1.  Row a takes
+    p(a) = pool[a - 1 + j] for an index j uniform on 0..n-a, then moves
+    pool[a - 1] into the freed slot; t(a) likewise from its own pool.
+    Indices are drawn in the kernel dtype.
+
+    By default row a is drawn only for the k pairs still alive after row
+    a - 1, by two calls integers(0, n - a + 1, size=k): the p indices, then
+    the t indices.  A pair costs draws up to the row where it fails, and
+    the stream depends on which pairs fail.  With ``upfront`` the indices
+    of every row in ``rows`` (1..R, not 1..n) are drawn for every pair of
+    the sub-batch in one call of shape (R, 2, count) before the scan (row
+    by row, p's then t's), so the pairs do not depend on the floor: box
+    persistence couples its floors this way, across sub-batches too.
     """
     g = trial_stream(seed, lo // _MC_BLOCK)
     dtype = np.int16 if n < 2 ** 15 else np.int32
     b = np.arange(cols.start - 1, cols.stop - 1, dtype=dtype)  # 0-based b - 1
     batch = max(1, _PAIR_DRAW // n)
-    buf = np.empty((min(batch, hi - lo), n), dtype=np.intp)
     succ = 0
     for start in range(lo, hi, batch):
         count = min(batch, hi - start)
-        tile = buf[:count]
-
-        def draw():
-            tile[:] = np.arange(n)
-            return g.permuted(tile, axis=1, out=tile).astype(dtype)
-
-        p = draw()
-        t = draw()
+        pools = np.tile(np.arange(n, dtype=dtype), 2 * count)  # p's pools, then t's
+        heads = np.arange(2 * count).reshape(2, count) * n - 1
+        if upfront:
+            highs = n + 1 - np.asarray(rows)[:, None, None]
+            drawn = g.integers(0, highs, size=(len(rows), 2, count), dtype=dtype)
 
         def row(a, idx, c0, c1):
-            ge_p = b >= p[idx, a - 1][:, None]
-            ge_t = b >= t[idx, a - 1][:, None]
-            return np.subtract(ge_p, ge_t, dtype=dtype)
+            if upfront:
+                j = drawn[a - rows.start][:, idx]
+            else:  # p's indices, then t's
+                j = np.stack([g.integers(0, n - a + 1, size=idx.size, dtype=dtype) for _ in range(2)])
+            head = heads[:, idx] + a  # flat positions of pool[a - 1]
+            at = head + j
+            v = pools[at]  # p(a) - 1 and t(a) - 1
+            pools[at] = pools[head]
+            return np.subtract(b >= v[0][:, None], b >= v[1][:, None], dtype=dtype)
 
         succ += _survivors(row, rows, first, floor_level, count, (0, b.size))
     return succ
@@ -197,7 +213,7 @@ def estimate_box_persistence(
     start = time.perf_counter()
     fn = partial(
         _pair_block, seed=seed, n=n, rows=range(1, min((5 * x) // 4, n) + 1), first=x,
-        cols=range(y, min((5 * y) // 4, n) + 1), floor_level=-c_log * math.log(n),
+        cols=range(y, min((5 * y) // 4, n) + 1), floor_level=-c_log * math.log(n), upfront=True,
     )
     succ = sum(run_blocks(trials, _MC_BLOCK, fn, workers))
     return EstimateResult.from_counts(n, trials, succ, seed, time.perf_counter() - start)

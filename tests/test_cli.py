@@ -124,6 +124,18 @@ class TestMc:
         assert lines[1] == "n,trials,successes,p_hat,ci_low,ci_high,seed"
         assert len(lines) == 4
 
+    def test_workers_do_not_change_bytes(self, tmp_path):
+        # 20000 trials are five blocks, so the two workers split them
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.csv"
+            argv = ["mc", "--n", "12,40", "--trials", "20000", "--seed", "12", "--workers", workers,
+                    "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0].startswith(b"# schema=mc-v3 ")
+        assert outputs[0] == outputs[1]
+
     def test_refuses_large_n(self, capsys):
         code, _, err = run(capsys, "mc", "--n", "128", "--trials", "10", "--seed", "1")
         assert code == EXIT_LOWCOUNT
@@ -192,16 +204,18 @@ class TestFit:
         assert out == "" and err.count("\n") == 1 and "absent.csv: cannot read" in err
 
     def test_reads_mc_v1(self, capsys, tmp_path):
+        # and mc-v2: both have the current columns, only their streams differ
         src = self._make_results(capsys, tmp_path)
         text = src.read_text()
         assert text.startswith(f"# schema={MC_SCHEMA} ")
-        old = tmp_path / "old.csv"
-        old.write_text(text.replace(f"# schema={MC_SCHEMA} ", "# schema=mc-v1 ", 1))
         code, out_new, _ = run(capsys, "fit", "--input", str(src))
         assert code == EXIT_OK
-        code, out_old, _ = run(capsys, "fit", "--input", str(old))
-        assert code == EXIT_OK
-        assert out_old == out_new
+        for version in ("mc-v1", "mc-v2"):
+            old = tmp_path / f"{version}.csv"
+            old.write_text(text.replace(f"# schema={MC_SCHEMA} ", f"# schema={version} ", 1))
+            code, out_old, _ = run(capsys, "fit", "--input", str(old))
+            assert code == EXIT_OK
+            assert out_old == out_new
 
 
 class TestGauss:
@@ -237,6 +251,24 @@ class TestGauss:
         assert code == EXIT_CONFIG
         assert out == ""
         assert err.count("\n") == 1 and "--threshold must be finite and >= 0" in err
+
+    @pytest.mark.parametrize(
+        "mode, p, message",
+        [
+            ("zeta", "0.9", "--p must be in (0, 1/2]"),
+            ("zeta", "nan", "--p must be in (0, 1/2]"),
+            ("gaussian", "0.1", "--p applies to --mode zeta only"),
+        ],
+    )
+    def test_bad_p_is_config_error(self, capsys, mode, p, message):
+        code, out, err = run(
+            capsys,
+            "gauss", "--grid", "8", "--threshold", "1", "--trials", "10", "--seed", "1",
+            "--mode", mode, "--p", p,
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.count("\n") == 1 and message in err
 
     def test_zeta_mode(self, capsys):
         code, out, _ = run(

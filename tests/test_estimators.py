@@ -16,7 +16,7 @@ from bruhatmc.estimators import (
     sheet_persistence,
     wilson_interval,
 )
-from bruhatmc.order import exact_comparability_count, is_leq_strong
+from bruhatmc.order import EXACT_COUNT_CAP, exact_comparability_count, is_leq_strong
 from bruhatmc.perms import Permutation, trial_stream
 from bruhatmc.zprocess import z_table
 from fractions import Fraction
@@ -47,30 +47,83 @@ class TestWilson:
             wilson_interval(5, 4)
 
 
-def drawn_pairs(n, count, seed):
-    """The pairs block 0 of the pair estimators draws: p then t, one row each."""
+def drawn_pairs(n, count, seed, window_rows=None):
+    """Replay, in plain Python, the pairs block 0 of the pair estimators draws
+    (schema mc-v3); count <= 4096 stays inside block 0.
+
+    Sub-batches hold at most (1 << 18) // n pairs.  Each pair keeps a pool
+    for p and one for t, both 1..n; row a swaps pool[a - 1] with
+    pool[a - 1 + j], j uniform on 0..n-a, so pool[:a] holds the row values
+    drawn so far and pool[a:] the unused ones; every j is drawn in int16.
+    With ``window_rows`` = None (comparability) row a is drawn only for the
+    k pairs whose Z rows 1..a-1 all stayed >= 0, by two calls
+    integers(0, n - a + 1, size=k), p's then t's.  Otherwise (box
+    persistence) rows 1..window_rows are drawn for every pair, in one call
+    of shape (window_rows, 2, size) per sub-batch, before any row is used.
+
+    Returns (p pool, t pool, rows drawn, Z rows drawn stayed >= 0) per pair.
+    """
     g = trial_stream(seed, 0)
-    tile = np.tile(np.arange(n), (count, 1))
-    p, t = g.permuted(tile, axis=1) + 1, g.permuted(tile, axis=1) + 1
-    return [(Permutation(tuple(a.tolist())), Permutation(tuple(b.tolist()))) for a, b in zip(p, t)]
+    batch = max(1, (1 << 18) // n)
+    out = []
+    for start in range(0, count, batch):
+        size = min(batch, count - start)
+        pools = [(list(range(1, n + 1)), list(range(1, n + 1))) for _ in range(size)]
+        zrow = [[0] * n for _ in range(size)]
+        drawn = [0] * size
+        alive = [True] * size
+        if window_rows is not None:
+            highs = n + 1 - np.arange(1, window_rows + 1)[:, None, None]
+            upfront = g.integers(0, highs, size=(window_rows, 2, size), dtype=np.int16).tolist()
+        for a in range(1, (window_rows or n) + 1):
+            if window_rows is None:
+                live = [i for i in range(size) if alive[i]]
+                if not live:
+                    break
+                js = [g.integers(0, n - a + 1, size=len(live), dtype=np.int16).tolist() for _ in range(2)]
+            else:
+                live, js = range(size), upfront[a - 1]
+            for k, i in enumerate(live):
+                for pool, j in zip(pools[i], (js[0][k], js[1][k])):
+                    pool[a - 1], pool[a - 1 + j] = pool[a - 1 + j], pool[a - 1]
+                pa, ta = pools[i][0][a - 1], pools[i][1][a - 1]
+                zrow[i] = [z + (b >= pa) - (b >= ta) for b, z in enumerate(zrow[i], 1)]
+                drawn[i] = a
+                alive[i] = alive[i] and min(zrow[i]) >= 0
+        out.extend(zip((p for p, _ in pools), (t for _, t in pools), drawn, alive))
+    return out
+
+
+def as_perm(values):
+    return Permutation(tuple(values))
 
 
 class TestSurvivalKernel:
-    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 100])
     def test_comparability_matches_strong_order_oracle(self, n):
+        # n = 100 spans two sub-batches: 2621 pairs, then 379
         count, seed = 3000, 123
-        expected = sum(is_leq_strong(p, t).leq for p, t in drawn_pairs(n, count, seed))
-        assert estimate_comparability(n, count, seed).successes == expected
+        pairs = drawn_pairs(n, count, seed)
+        for p, t, rows, alive in pairs:
+            verdict = is_leq_strong(as_perm(p), as_perm(t))
+            assert verdict.leq == alive
+            if not alive:
+                # the pair died on its last drawn row, whatever comes after it
+                assert verdict.witness[0] == rows
+                tail = slice(rows, None)
+                assert not is_leq_strong(as_perm(p[:rows] + p[tail][::-1]), as_perm(t[:rows] + t[tail][::-1])).leq
+        assert estimate_comparability(n, count, seed).successes == sum(alive for *_, alive in pairs)
 
     def test_box_window_matches_z_table_oracle(self):
-        n, x, y, c_log, count, seed = 40, 10, 12, 0.5, 2000, 77
-        floor_level = -c_log * math.log(n)
-        expected = sum(
-            int(z_table(p, t).z[x : 5 * x // 4 + 1, y : 5 * y // 4 + 1].min()) >= floor_level
-            for p, t in drawn_pairs(n, count, seed)
-        )
-        assert 0 < expected < count
-        assert estimate_box_persistence(n, x, y, c_log, count, seed).successes == expected
+        # n = 200 spans two sub-batches: 1310 pairs, then 90
+        for n, x, y, c_log, count, seed in [(40, 10, 12, 0.5, 2000, 77), (200, 40, 50, 0.5, 1400, 78)]:
+            floor_level = -c_log * math.log(n)
+            expected = sum(
+                int(z_table(as_perm(p), as_perm(t)).z[x : 5 * x // 4 + 1, y : 5 * y // 4 + 1].min()) >= floor_level
+                for p, t, *_ in drawn_pairs(n, count, seed, min(5 * x // 4, n))
+            )
+            assert 0 < expected < count
+            assert estimate_box_persistence(n, x, y, c_log, count, seed).successes == expected
 
     @pytest.mark.parametrize("m", [1, 15, 16, 17, 48, 49, 112, 113])
     def test_chunked_rows_match_brute_force_minimum(self, m):
@@ -114,16 +167,17 @@ class TestSurvivalKernel:
     @pytest.mark.parametrize(
         "estimate, args, successes",
         [
-            (estimate_comparability, (40, 50_000, 2), 28),
-            (estimate_box_persistence, (1000, 300, 200, 1.0, 3000, 3), 1444),
-            (estimate_box_persistence, (60, 20, 20, 0, 400, 9), 136),
-            (estimate_box_persistence, (60, 20, 20, 0.5, 400, 9), 252),
-            (estimate_box_persistence, (60, 20, 20, 1, 400, 9), 354),
+            (estimate_comparability, (40, 50_000, 2), 27),
+            (estimate_box_persistence, (1000, 300, 200, 1.0, 3000, 3), 1450),
+            (estimate_box_persistence, (60, 20, 20, 0, 400, 9), 143),
+            (estimate_box_persistence, (60, 20, 20, 0.5, 400, 9), 261),
+            (estimate_box_persistence, (60, 20, 20, 1, 400, 9), 353),
             (estimate_box_persistence, (60, 20, 20, 2, 400, 9), 400),
         ],
     )
     def test_pair_layout_pinned(self, estimate, args, successes):
-        # n = 40 draws each block whole; n = 1000 draws 262-trial sub-batches
+        # mc-v3 counts; n = 40 blocks are one sub-batch each, n = 1000 box
+        # persistence draws 375 rows up front for each 262-pair sub-batch
         assert estimate(*args).successes == successes
 
 
@@ -142,11 +196,21 @@ class TestComparabilityEstimator:
         keep = ("n", "trials", "successes", "p_hat", "ci_low", "ci_high", "seed")
         assert {k: getattr(a, k) for k in keep} == {k: getattr(b, k) for k in keep}
 
-    def test_agrees_with_exact_n8(self):
-        exact = float(exact_comparability_count(8).probability)
-        r = estimate_comparability(8, 200_000, 20261018)
+    @staticmethod
+    def assert_agrees_with_exact(n, seed):
+        exact = float(exact_comparability_count(n).probability)
+        r = estimate_comparability(n, 200_000, seed)
         se = math.sqrt(exact * (1 - exact) / r.trials)
         assert abs(r.p_hat - exact) <= 5 * se
+
+    def test_agrees_with_exact_n8(self):
+        self.assert_agrees_with_exact(8, 20261018)
+
+    @pytest.mark.parametrize("n, seed", [(9, 20261019), (10, 20261020)])
+    def test_agrees_with_exact_up_to_cap(self, n, seed):
+        # the lazy row draws must give the uniform law up to EXACT_COUNT_CAP
+        assert n <= EXACT_COUNT_CAP
+        self.assert_agrees_with_exact(n, seed)
 
     def test_monotone_decrease_with_ci_separation(self):
         small = estimate_comparability(8, 200_000, 6)
@@ -175,6 +239,15 @@ class TestBoxPersistence:
             estimate_box_persistence(60, 20, 20, c, 400, 9).p_hat
             for c in (0.0, 0.5, 1.0, 2.0)
         ]
+        assert all(a <= b for a, b in zip(values, values[1:]))
+
+    def test_coupled_across_sub_batches(self):
+        # 600 pairs at n = 1000 fill three sub-batches (262, 262, 76); every
+        # floor must see the same pairs in each of them.  The floors
+        # -(k + 1/2) step the integer floor one at a time, where pairs drawn
+        # anew for each floor would break the order by chance.
+        grid = {0.0, 0.5, 1.0, 2.0} | {(k + 0.5) / math.log(1000) for k in range(16)}
+        values = [estimate_box_persistence(1000, 300, 200, c, 600, 3).successes for c in sorted(grid)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_worker_invariance(self):
