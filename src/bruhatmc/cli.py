@@ -29,6 +29,7 @@ from .dists import (
     hypergeom_moments,
     hypergeom_pmf_exact,
     hypergeom_sample,
+    submatrix_side,
 )
 from .estimators import (
     EstimateResult,
@@ -38,9 +39,9 @@ from .estimators import (
     psi_fit,
     sheet_persistence,
 )
-from .fkg import fkg_check, random_upset
+from .fkg import UPSET_CAP, fkg_check, random_upset
 from .order import EXACT_COUNT_CAP, exact_comparability_count, is_leq_strong, is_leq_weak
-from .perms import parse_permutation, trial_stream
+from .perms import Permutation, parse_permutation, trial_stream
 from .zprocess import max_rect_stat, max_strip_stat, z_table
 
 EXIT_OK = 0
@@ -52,7 +53,7 @@ MC_SCHEMA = "mc-v3"
 # schemas fit still reads: older rows are identical, only the stream layout differs
 MC_READABLE = (MC_SCHEMA, "mc-v2", "mc-v1")
 GAUSS_SCHEMA = "gauss-v2"
-CHAINSTAT_SCHEMA = "chainstat-v1"
+CHAINSTAT_SCHEMA = "chainstat-v2"
 NAIVE_MC_MAX_N = 64
 
 MC_COLUMNS = ["n", "trials", "successes", "p_hat", "ci_low", "ci_high", "seed"]
@@ -90,12 +91,20 @@ def _read_text(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read ({exc.strerror or exc})") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text file ({exc.reason})") from None
 
 
-def _check_workers(workers: int) -> int:
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    return workers
+def _one_int(text: str, name: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{name}: expected an integer, got {text!r}") from None
+
+
+def _check_min(name: str, low: int, *values: int):
+    if min(values) < low:
+        raise ConfigError(f"{name} must be >= {low}, got {min(values)}")
 
 
 def _broadcast(values: list[int], count: int, name: str) -> list[int]:
@@ -172,25 +181,35 @@ def _read_mc_csv(path: str) -> list[EstimateResult]:
     if len(lines) < 2 or lines[1].split(",") != MC_COLUMNS:
         raise ConfigError(f"{path}: column header mismatch")
     results = []
-    for line in lines[2:]:
+    for lineno, line in enumerate(lines[2:], start=3):
         if not line.strip():
             continue
-        n, trials, successes, _, _, _, seed = line.split(",")
-        results.append(
-            EstimateResult.from_counts(int(n), int(trials), int(successes), int(seed), 0.0)
-        )
+        fields = line.split(",")
+        if len(fields) != len(MC_COLUMNS):
+            raise ConfigError(f"{path}:{lineno}: expected {len(MC_COLUMNS)} fields, got {len(fields)}")
+        n, trials, successes, seed = (_one_int(fields[i], f"{path}:{lineno}") for i in (0, 1, 2, 6))
+        if not 0 <= successes <= trials or trials < 1:
+            raise ConfigError(f"{path}:{lineno}: bad counts {successes}/{trials}")
+        results.append(EstimateResult.from_counts(n, trials, successes, seed, 0.0))
     return results
 
 
 # ---------------------------------------------------------------- subcommands
 
 
-def _cmd_check(args, argv):
+def _parse_pair(args) -> tuple[Permutation, Permutation]:
     try:
         p = parse_permutation(args.pi)
         t = parse_permutation(args.tau)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if p.n != t.n:
+        raise ConfigError(f"--pi and --tau differ in size: {p.n} vs {t.n}")
+    return p, t
+
+
+def _cmd_check(args, argv):
+    p, t = _parse_pair(args)
     if args.order == "strong":
         verdict = is_leq_strong(p, t)
         payload = {
@@ -212,8 +231,7 @@ def _cmd_check(args, argv):
 
 
 def _cmd_exact(args, argv):
-    if args.n < 1:
-        raise ConfigError(f"--n must be >= 1, got {args.n}")
+    _check_min("--n", 1, args.n)
     if args.n > EXACT_COUNT_CAP:
         raise ConfigError(f"--n {args.n} above the exact-count cap {EXACT_COUNT_CAP}")
     count = exact_comparability_count(args.n)
@@ -230,11 +248,7 @@ def _cmd_exact(args, argv):
 
 
 def _cmd_zmin(args, argv):
-    try:
-        p = parse_permutation(args.pi)
-        t = parse_permutation(args.tau)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    p, t = _parse_pair(args)
     value, a, b = z_table(p, t).min_entry()
     sys.stdout.write(_json_text({"min": value, "argmin": [a, b], "leq": value >= 0}))
     return EXIT_OK
@@ -246,9 +260,12 @@ def _cmd_chainstat(args, argv):
     ys = _int_list(args.y, "--y")
     if len(xs) != len(ys):
         raise ConfigError(f"--x and --y must pair up, got {len(xs)} vs {len(ys)}")
-    _check_workers(args.workers)
-    import math
-
+    _check_min("--n", 1, args.n)
+    _check_min("--x and --y", 1, *xs, *ys)
+    if max(xs + ys) > args.n:
+        raise ConfigError(f"--x and --y must be <= --n {args.n}, got {max(xs + ys)}")
+    _check_min("--trials", 1, args.trials)
+    _check_min("workers", 1, args.workers)
     rows = []
     with shared_pool(args.workers):
         for x, y in zip(xs, ys):
@@ -276,6 +293,8 @@ def _cmd_chainstat(args, argv):
 
 
 def _cmd_hyper(args, argv):
+    if not (0 <= args.A <= args.N and 0 <= args.B <= args.N):
+        raise ConfigError(f"need 0 <= --A, --B <= --N, got N={args.N} B={args.B} A={args.A}")
     params = HyperGeomParams(args.N, args.B, args.A)
     payload: dict = {"N": args.N, "B": args.B, "A": args.A, "version": __version__}
     if args.k is not None:
@@ -284,14 +303,14 @@ def _cmd_hyper(args, argv):
         payload["pmf"] = str(exact)
         payload["pmf_float"] = float(exact)
     elif args.moments:
+        _check_min("--N with --moments", 2, args.N)
         mean, var = hypergeom_moments(params)
         payload["mean"] = str(mean)
         payload["mean_float"] = float(mean)
         payload["variance"] = str(var)
         payload["variance_float"] = float(var)
     elif args.sample is not None:
-        if args.sample < 0:
-            raise ConfigError(f"--sample must be >= 0, got {args.sample}")
+        _check_min("--sample", 0, args.sample)
         stream = trial_stream(args.seed)
         draws = hypergeom_sample(params, stream, size=args.sample)
         hist = {}
@@ -307,6 +326,11 @@ def _cmd_hyper(args, argv):
 
 
 def _cmd_bernratio(args, argv):
+    _check_min("--n", 2, args.n)
+    _check_min("--k", 0, args.k)
+    side = submatrix_side(args.n)
+    if args.k > side:
+        raise ConfigError(f"--k {args.k} above the hypergeometric support (N={side})")
     result = bernoulli_ratio(args.n, args.k)
     payload = {
         "n": result.n,
@@ -324,7 +348,9 @@ def _cmd_mc(args, argv):
     started = _now()
     ns = _int_list(args.n, "--n")
     trials = _broadcast(_int_list(args.trials, "--trials"), len(ns), "--trials")
-    _check_workers(args.workers)
+    _check_min("--n", 1, *ns)
+    _check_min("--trials", 1, *trials)
+    _check_min("workers", 1, args.workers)
     if any(n > NAIVE_MC_MAX_N for n in ns) and not args.force:
         raise LowCountRefusal(
             f"naive Monte Carlo refused for n > {NAIVE_MC_MAX_N} (successes become "
@@ -378,13 +404,17 @@ def _cmd_gauss(args, argv):
     started = _now()
     grid = _int_list(args.grid, "--grid")
     trials = _broadcast(_int_list(args.trials, "--trials"), len(grid), "--trials")
-    _check_workers(args.workers)
+    _check_min("--grid", 1, *grid)
+    _check_min("--trials", 1, *trials)
+    _check_min("workers", 1, args.workers)
     if not (math.isfinite(args.threshold) and args.threshold >= 0):
         raise ConfigError(f"--threshold must be finite and >= 0, got {args.threshold}")
     if args.p is not None and args.mode != "zeta":
         raise ConfigError(f"--p applies to --mode zeta only, got --mode {args.mode}")
     if args.p is not None and not 0 < args.p <= 0.5:
         raise ConfigError(f"--p must be in (0, 1/2], got {args.p}")
+    if args.mode == "zeta" and args.p is None:
+        _check_min("--grid with the default p = 1/m^2", 2, *grid)
     results = []
     with shared_pool(args.workers):
         for m, t in zip(grid, trials):
@@ -410,6 +440,8 @@ def _cmd_gauss(args, argv):
 
 
 def _cmd_lishao(args, argv):
+    _check_min("--rho", 2, args.rho)
+    _check_min("--index-range", 1, args.index_range)
     result = li_shao_sum(args.rho, args.index_range)
     payload = {
         "rho": result.rho,
@@ -426,8 +458,10 @@ def _cmd_lishao(args, argv):
 
 
 def _cmd_fkg(args, argv):
-    if args.pairs < 1:
-        raise ConfigError(f"--pairs must be >= 1, got {args.pairs}")
+    _check_min("--n", 1, args.n)
+    if args.n > UPSET_CAP:
+        raise ConfigError(f"--n {args.n} above the up-set cap {UPSET_CAP}")
+    _check_min("--pairs", 1, args.pairs)
     stream = trial_stream(args.seed)
     lines = ["pair,p_a,p_b,p_both,product,holds"]
     worst = None
@@ -497,15 +531,14 @@ def _cmd_pipeline_scaling(args, argv):
         config["force"] = "true"
 
     grid = _int_list(config["n_grid"], "n_grid")
-    if any(v < 1 for v in grid):
-        raise ConfigError(f"n_grid must be positive integers, got {grid}")
+    _check_min("n_grid", 1, *grid)
     if any(a >= b for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"n_grid must be strictly increasing, got {grid}")
     trials = _broadcast(_int_list(config["trials"], "trials"), len(grid), "trials")
-    if any(t < 1 for t in trials):
-        raise ConfigError(f"trials must be positive, got {trials}")
-    seed = int(config["seed"])
-    workers = _check_workers(int(config["workers"]))
+    _check_min("trials", 1, *trials)
+    seed = _one_int(config["seed"], "seed")
+    workers = _one_int(config["workers"], "workers")
+    _check_min("workers", 1, workers)
     force = config["force"].lower() in ("true", "1", "yes")
     if max(grid) > NAIVE_MC_MAX_N and not force:
         raise LowCountRefusal(
@@ -658,9 +691,6 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         _log(f"invariant violation: {exc}")
         return EXIT_INVARIANT
-    except ValueError as exc:
-        _log(f"config error: {exc}")
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -238,6 +238,11 @@ def _int_floor_root_power(n: int, num: int, den: int) -> int:
     return guess
 
 
+def submatrix_side(n: int) -> int:
+    """N = floor(n^(7/12)), the submatrix side that bernoulli_ratio uses."""
+    return _int_floor_root_power(n, 7, 12)
+
+
 def bernoulli_ratio(n: int, k: int) -> RatioResult:
     """Exact pmf ratio P(HyperGeom(n, N, N) = k) / P(Binomial(N^2, 1/n) = k)
     with N = floor(n^(7/12)), evaluated in 60-digit arithmetic.
@@ -247,7 +252,7 @@ def bernoulli_ratio(n: int, k: int) -> RatioResult:
     """
     if n < 2 or k < 0:
         raise ValueError(f"need n >= 2 and k >= 0, got n={n} k={k}")
-    N = _int_floor_root_power(n, 7, 12)
+    N = submatrix_side(n)
     if k > N:
         raise ValueError(f"k={k} above the hypergeometric support (N={N})")
     regime_ok = k ** 5 <= n

@@ -18,9 +18,10 @@ from functools import partial
 import numpy as np
 
 from ._parallel import merge_mean_var, run_blocks
-from .perms import MAX_TABLE_SIZE, Permutation, dominance_counts, trial_stream
+from .perms import MAX_TABLE_SIZE, Permutation, trial_stream
 
-_STAT_BLOCK = 256  # trials per merge block; fixed so merges are reproducible
+_STAT_BLOCK = 256  # trials per merge block; each block owns one stream
+_STAT_CELLS = 1 << 16  # window-table cells per sub-batch
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,49 +134,58 @@ def decompose_check(p: Permutation, t: Permutation, x: int, y: int, a: int, b: i
     return whole == parts
 
 
-def _window(v: int, n: int) -> tuple[int, int]:
-    """Index window [v, floor(5v/4)] clipped to n."""
-    return v, min((5 * v) // 4, n)
+def _window_stats(words: np.ndarray, n: int, first: int, y0: int, y1: int) -> np.ndarray:
+    """Per trial (row of ``words``, the values of a window's rows 1..R), the
+    max over a in [first, R], b in [0, y1 - y0] of
+    |#{i <= a : words[t, i - 1] in (y0, y0 + b]} - ab/n|.
+
+    Sub-batches of at most _STAT_CELLS table cells scatter their points with
+    one bincount, rows before ``first`` folded into the table's first row;
+    two cumulative sums turn points into counts.
+    """
+    count, r = words.shape
+    rows, cols = r - first + 1, y1 - y0 + 1
+    cells = rows * cols
+    offset = np.maximum(np.arange(1, r + 1) - first, 0) * cols  # table row of each word row
+    expect = np.arange(first, r + 1)[:, None] * np.arange(cols) / n
+    batch = max(1, _STAT_CELLS // cells)
+    stats = []
+    for s in range(0, count, batch):
+        w = words[s : s + batch]
+        t, i = np.nonzero((w > y0) & (w <= y1))
+        table = np.bincount(t * cells + offset[i] + (w[t, i] - y0), minlength=len(w) * cells)
+        table = table.reshape(len(w), rows, cols)
+        np.cumsum(table, axis=1, out=table)
+        np.cumsum(table, axis=2, out=table)
+        stats.append(np.abs(table - expect).max(axis=(1, 2)))
+    return np.concatenate(stats)
 
 
-def _rect_stat_block(lo: int, hi: int, seed: int, n: int, x: int, y: int) -> tuple[int, float, float]:
-    x0, x1 = _window(x, n)
-    y0, y1 = _window(y, n)
-    total = 0.0
-    sumsq = 0.0
-    area = np.arange(x1 - x0 + 1, dtype=np.float64)[:, None] * np.arange(y1 - y0 + 1, dtype=np.float64)[None, :]
-    expect = area / n
-    for t in range(lo, hi):
-        word = trial_stream(seed, t).permutation(n) + 1
-        c = dominance_counts(word)
-        sub = c[x0 : x1 + 1, y0 : y1 + 1].astype(np.float64)
-        cnt = sub - c[x0, y0 : y1 + 1][None, :] - c[x0 : x1 + 1, y0][:, None] + c[x0, y0]
-        stat = float(np.abs(cnt - expect).max())
-        total += stat
-        sumsq += stat * stat
-    return hi - lo, total, sumsq
+def _window_stat_block(
+    lo: int, hi: int, seed: int, n: int, r0: int, r1: int, first: int, y0: int, y1: int
+) -> tuple[int, float, float]:
+    """(count, sum, sum of squares) of _window_stats on the rows (r0, r1]
+    of the block's permutations: the rows of trial_stream(seed, block)
+    .permuted(tile, axis=1) on a (hi - lo) x n tile of 1..n in the kernel
+    dtype (CSV schema chainstat-v2)."""
+    g = trial_stream(seed, lo // _STAT_BLOCK)
+    dtype = np.int16 if n < 2 ** 15 else np.int32
+    words = g.permuted(np.tile(np.arange(1, n + 1, dtype=dtype), (hi - lo, 1)), axis=1)
+    stat = _window_stats(words[:, r0:r1], n, first, y0, y1)
+    return stat.size, float(stat.sum()), float(stat @ stat)
 
 
-def _strip_stat_block(lo: int, hi: int, seed: int, n: int, x: int, y: int) -> tuple[int, float, float]:
-    y0, y1 = _window(y, n)
-    widths = np.arange(y1 - y0 + 1, dtype=np.float64)
-    expect = x * widths / n
-    grid = np.arange(y0, y1 + 1)
-    total = 0.0
-    sumsq = 0.0
-    for t in range(lo, hi):
-        word = trial_stream(seed, t).permutation(n) + 1
-        vals = np.sort(word[:x])
-        cnt = np.searchsorted(vals, grid, side="right").astype(np.float64)
-        cnt -= cnt[0]
-        stat = float(np.abs(cnt - expect).max())
-        total += stat
-        sumsq += stat * stat
-    return hi - lo, total, sumsq
-
-
-def _summarize(partials) -> TrialSummary:
-    count, total, sumsq = merge_mean_var(partials)
+def _window_max(
+    n: int, x: int, y: int, trials: int, seed: int, workers: int, r0: int, r1: int, first: int
+) -> TrialSummary:
+    """Mean of _window_stats on the rows (r0, r1] and the columns (y, 5y/4]."""
+    if not (1 <= x <= n and 1 <= y <= n):
+        raise ValueError(f"need 1 <= x, y <= n, got x={x} y={y} n={n}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    y1 = min(5 * y // 4, n)
+    fn = partial(_window_stat_block, seed=seed, n=n, r0=r0, r1=r1, first=first, y0=y, y1=y1)
+    count, total, sumsq = merge_mean_var(run_blocks(trials, _STAT_BLOCK, fn, workers))
     mean = total / count
     var = max(sumsq / count - mean * mean, 0.0) * (count / max(count - 1, 1))
     return TrialSummary(mean=mean, stderr=math.sqrt(var / count), trials=count)
@@ -185,23 +195,13 @@ def max_rect_stat(n: int, x: int, y: int, trials: int, seed: int, workers: int =
     """Monte Carlo mean of max |centered count of (x,a] x (y,b]| over the
     window a in [x, 5x/4], b in [y, 5y/4], one fresh permutation per trial.
 
-    Per trial the full prefix table is built once (O(n^2)) and every
-    rectangle in the window is an O(1) corner query.
+    A trial shuffles n values and counts only the window's rows; no
+    (n+1) x (n+1) table is built.
     """
-    if not (1 <= x <= n and 1 <= y <= n):
-        raise ValueError(f"need 1 <= x, y <= n, got x={x} y={y} n={n}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    fn = partial(_rect_stat_block, seed=seed, n=n, x=x, y=y)
-    return _summarize(run_blocks(trials, _STAT_BLOCK, fn, workers))
+    return _window_max(n, x, y, trials, seed, workers, x, min(5 * x // 4, n), 0)
 
 
 def max_strip_stat(n: int, x: int, y: int, trials: int, seed: int, workers: int = 1) -> TrialSummary:
     """Monte Carlo mean of max |centered count of (0,x] x (y,b]| over
     b in [y, 5y/4]; the one-dimensional strip analogue of max_rect_stat."""
-    if not (1 <= x <= n and 1 <= y <= n):
-        raise ValueError(f"need 1 <= x, y <= n, got x={x} y={y} n={n}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    fn = partial(_strip_stat_block, seed=seed, n=n, x=x, y=y)
-    return _summarize(run_blocks(trials, _STAT_BLOCK, fn, workers))
+    return _window_max(n, x, y, trials, seed, workers, 0, x, x)

@@ -9,6 +9,7 @@ from bruhatmc.cli import (
     EXIT_CONFIG,
     EXIT_LOWCOUNT,
     EXIT_OK,
+    MC_COLUMNS,
     MC_SCHEMA,
     main,
     rerun_manifest,
@@ -203,6 +204,22 @@ class TestFit:
         assert code == EXIT_CONFIG
         assert out == "" and err.count("\n") == 1 and "absent.csv: cannot read" in err
 
+    @pytest.mark.parametrize("row", ["4,100,5", "4,100,x,0.05,0.0,0.1,3", "4,100,101,1.0,0.9,1.0,3"])
+    def test_malformed_row_is_config_error(self, capsys, tmp_path, row):
+        bad = tmp_path / "bad.csv"
+        header = f"# schema={MC_SCHEMA} software=bruhatmc-0.1.0 seed=3\n{','.join(MC_COLUMNS)}\n"
+        bad.write_text(header + row + "\n")
+        code, out, err = run(capsys, "fit", "--input", str(bad))
+        assert code == EXIT_CONFIG
+        assert out == "" and err.count("\n") == 1 and "bad.csv:3" in err
+
+    def test_binary_input_is_config_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\xfe\x00")
+        code, out, err = run(capsys, "fit", "--input", str(bad))
+        assert code == EXIT_CONFIG
+        assert out == "" and err.count("\n") == 1 and "not a text file" in err
+
     def test_reads_mc_v1(self, capsys, tmp_path):
         # and mc-v2: both have the current columns, only their streams differ
         src = self._make_results(capsys, tmp_path)
@@ -300,6 +317,17 @@ class TestChainstat:
         )
         assert code == EXIT_CONFIG
 
+    def test_strip_workers_do_not_change_bytes(self, tmp_path):
+        argv = ["chainstat", "--n", "256", "--x", "16,64,200", "--y", "64,16,100", "--trials", "600",
+                "--seed", "8", "--stat", "strip"]
+        outputs = []
+        for workers in ("1", "2"):
+            out_file = tmp_path / f"strip-w{workers}.csv"
+            assert main(argv + ["--workers", workers, "--out", str(out_file)]) == EXIT_OK
+            outputs.append(out_file.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith(b"# schema=chainstat-v2 ")
+
     def test_writes_file_and_manifest(self, capsys, tmp_path):
         out_file = tmp_path / "chain.csv"
         code, _, _ = run(
@@ -372,6 +400,51 @@ def test_empty_integer_list_is_config_error(capsys, argv):
     assert out == "" and "expected at least one integer" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc", "--n", "0", "--trials", "100", "--seed", "1"],
+        ["mc", "--n", "4", "--trials", "0", "--seed", "1"],
+        ["mc", "--n", "4", "--trials", "-3", "--seed", "1"],
+        ["gauss", "--grid", "0", "--threshold", "1", "--trials", "100", "--seed", "1"],
+        ["gauss", "--grid", "8", "--threshold", "1", "--trials", "0", "--seed", "1"],
+        ["gauss", "--grid", "1", "--threshold", "1", "--trials", "100", "--seed", "1", "--mode", "zeta"],
+        ["chainstat", "--n", "64", "--x", "0", "--y", "8", "--trials", "10", "--seed", "1"],
+        ["chainstat", "--n", "64", "--x", "8", "--y", "65", "--trials", "10", "--seed", "1"],
+        ["chainstat", "--n", "0", "--x", "8", "--y", "8", "--trials", "10", "--seed", "1"],
+        ["chainstat", "--n", "64", "--x", "8", "--y", "8", "--trials", "0", "--seed", "1"],
+        ["lishao", "--rho", "1"],
+        ["lishao", "--rho", "4", "--index-range", "0"],
+        ["hyper", "--N", "5", "--A", "7", "--B", "7", "--k", "1"],
+        ["hyper", "--N", "-1", "--A", "0", "--B", "0", "--moments"],
+        ["hyper", "--N", "1", "--A", "1", "--B", "1", "--moments"],
+        ["bernratio", "--n", "1", "--k", "0"],
+        ["bernratio", "--n", "8", "--k", "-1"],
+        ["bernratio", "--n", "8", "--k", "99"],
+        ["fkg", "--n", "9", "--seed", "1"],
+        ["fkg", "--n", "0", "--seed", "1"],
+        ["zmin", "--pi", "1", "--tau", "1 2"],
+        ["check", "--pi", "2 1", "--tau", "1 2 3"],
+        ["check", "--pi", "2 1", "--tau", "1 2 3", "--order", "weak"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_misuse_is_one_line_config_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == "" and err.count("\n") == 1 and err.startswith("config error: ")
+
+
+def test_value_error_inside_a_command_propagates(monkeypatch):
+    # an internal fault must not be reported as a user's config error
+    def broken(n):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("bruhatmc.cli.exact_comparability_count", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["exact", "--n", "3"])
+
+
 class TestPipelineScaling:
     def test_config_file_run(self, capsys, tmp_path):
         cfg = tmp_path / "sweep.cfg"
@@ -412,6 +485,14 @@ class TestPipelineScaling:
         code, _, err = run(capsys, "pipeline-scaling", "--config", str(cfg))
         assert code == EXIT_CONFIG
         assert "unknown key" in err
+
+    @pytest.mark.parametrize("line", ["seed = one", "workers = 2.5"])
+    def test_non_integer_value_is_config_error(self, capsys, tmp_path, line):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"n_grid = 4,6\ntrials = 10\n{line}\nout_dir = {tmp_path / 'run'}\n")
+        code, out, err = run(capsys, "pipeline-scaling", "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        assert out == "" and err.count("\n") == 1 and "expected an integer" in err
 
     def test_missing_config_is_config_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "pipeline-scaling", "--config", str(tmp_path / "absent.cfg"))

@@ -6,9 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bruhatmc.order import all_perms, is_leq_strong
-from bruhatmc.perms import Permutation, sample_uniform, trial_stream
+from bruhatmc.perms import Permutation, dominance_table, sample_uniform, trial_stream
 from bruhatmc.zprocess import (
     Rectangle,
+    _window_stats,
     decompose_check,
     max_rect_stat,
     max_strip_stat,
@@ -27,6 +28,57 @@ perm_pairs = st.integers(1, 6).flatmap(
 def random_pair(n, seed, trial=0):
     stream = trial_stream(seed, trial)
     return sample_uniform(n, stream), sample_uniform(n, stream)
+
+
+def chainstat_words(n, trials, seed):
+    """Replay the chainstat-v2 draw: block k of 256 trials permutes each row
+    of a (trials in block) x n int16 tile of 1..n with trial_stream(seed, k)."""
+    blocks = []
+    for lo in range(0, trials, 256):
+        tile = np.tile(np.arange(1, n + 1, dtype=np.int16), (min(256, trials - lo), 1))
+        blocks.append(trial_stream(seed, lo // 256).permuted(tile, axis=1))
+    return np.concatenate(blocks)
+
+
+def window_args(stat, n, x, y):
+    """(r0, r1, first, y0, y1): the rectangle reads rows (x, 5x/4] from
+    a = 0 on, the strip rows (0, x] at a = x only; both columns (y, 5y/4]."""
+    y0, y1 = y, min(5 * y // 4, n)
+    if stat == "rect":
+        return x, min(5 * x // 4, n), 0, y0, y1
+    return 0, x, x, y0, y1
+
+
+def table_window_stat(word, r0, r1, first, y0, y1):
+    """max over a in [r0 + first, r1], b in [y0, y1] of the centered count
+    of (r0, a] x (y0, b], by inclusion-exclusion on the full dominance table."""
+    n = len(word)
+    c = dominance_table(Permutation(tuple(int(v) for v in word))).counts.astype(np.int64)
+    a = np.arange(r0 + first, r1 + 1)[:, None]
+    b = np.arange(y0, y1 + 1)[None, :]
+    count = c[a, b] - c[r0, b] - c[a, y0] + c[r0, y0]
+    return float(np.abs(count - (a - r0) * (b - y0) / n).max())
+
+
+def rect_sum_window_stat(word, r0, r1, first, y0, y1):
+    """The same maximum, one rect_sum per rectangle."""
+    p = Permutation(tuple(int(v) for v in word))
+    return max(
+        abs(rect_sum(p, Rectangle(r0, a, y0, b)) - (a - r0) * (b - y0) / p.n)
+        for a in range(r0 + first, r1 + 1)
+        for b in range(y0, y1 + 1)
+    )
+
+
+STAT_CASES = [  # (n, x, y, trials, seed)
+    (24, 8, 6, 600, 31),  # three blocks, the last one partial
+    (40, 1, 40, 300, 32),  # x = 1, y = n
+    (40, 1, 12, 300, 33),
+    (40, 40, 12, 300, 34),  # the strip over every row
+    (40, 36, 34, 300, 35),  # 5x/4 and 5y/4 clipped at n
+    (1024, 512, 512, 8, 36),  # a 129 x 129 window: three sub-batches of the block
+]
+STATS = {"rect": max_rect_stat, "strip": max_strip_stat}
 
 
 class TestZTable:
@@ -169,9 +221,10 @@ class TestMaxStats:
         joint = (a.stderr ** 2 + b.stderr ** 2) ** 0.5
         assert abs(a.mean - b.mean) <= 3 * joint
 
-    def test_reproducible_across_workers(self):
-        one = max_rect_stat(128, 16, 16, 600, 9, workers=1)
-        two = max_rect_stat(128, 16, 16, 600, 9, workers=2)
+    @pytest.mark.parametrize("stat", STATS)
+    def test_reproducible_across_workers(self, stat):
+        one = STATS[stat](128, 16, 16, 600, 9, workers=1)
+        two = STATS[stat](128, 16, 16, 600, 9, workers=2)
         assert one == two
 
     def test_parameter_bounds(self):
@@ -182,25 +235,44 @@ class TestMaxStats:
         with pytest.raises(ValueError):
             max_rect_stat(16, 4, 4, 0, 0)
 
+    @staticmethod
+    def _check_replay(stat):
+        # every replayed trial against both oracles, then the public mean
+        for n, x, y, trials, seed in STAT_CASES:
+            window = window_args(stat, n, x, y)
+            r0, r1, first, y0, y1 = window
+            words = chainstat_words(n, trials, seed)
+            expected = [table_window_stat(w, *window) for w in words]
+            if n <= 64:
+                assert expected == [rect_sum_window_stat(w, *window) for w in words]
+            got = _window_stats(words[:, r0:r1], n, first, y0, y1)
+            assert got.tolist() == expected, (n, x, y)
+            summary = STATS[stat](n, x, y, trials, seed)
+            assert summary.trials == trials
+            assert summary.mean == pytest.approx(np.mean(expected), rel=1e-12, abs=1e-12)
+            assert summary.stderr == pytest.approx(
+                np.std(expected, ddof=1) / np.sqrt(trials), rel=1e-9, abs=1e-12
+            )
+
     def test_rect_stat_against_direct_enumeration(self):
-        # one-trial oracle: recompute the windowed max via rect_sum
-        n, x, y, seed = 24, 8, 6, 31
-        summary = max_rect_stat(n, x, y, 1, seed)
-        p = sample_uniform(n, trial_stream(seed, 0))
-        best = 0.0
-        for a in range(x, (5 * x) // 4 + 1):
-            for b in range(y, (5 * y) // 4 + 1):
-                count = rect_sum(p, Rectangle(x, a, y, b))
-                best = max(best, abs(count - (a - x) * (b - y) / n))
-        assert summary.mean == pytest.approx(best)
-        assert summary.stderr == 0.0
+        self._check_replay("rect")
 
     def test_strip_stat_against_direct_enumeration(self):
-        n, x, y, seed = 24, 8, 6, 32
-        summary = max_strip_stat(n, x, y, 1, seed)
-        p = sample_uniform(n, trial_stream(seed, 0))
-        best = 0.0
-        for b in range(y, (5 * y) // 4 + 1):
-            count = rect_sum(p, Rectangle(0, x, y, b))
-            best = max(best, abs(count - x * (b - y) / n))
-        assert summary.mean == pytest.approx(best)
+        self._check_replay("strip")
+
+    @pytest.mark.parametrize(
+        "stat, seeds",
+        [("rect", (20261018, 20261019)), ("strip", (20261020, 20261021))],
+        ids=["rect", "strip"],
+    )
+    def test_law_matches_fresh_per_trial_streams(self, stat, seeds):
+        # an independent estimator: one sample_uniform stream per trial
+        n, x, y, trials = 64, 16, 16, 2000
+        window = window_args(stat, n, x, y)
+        fresh = [
+            table_window_stat(sample_uniform(n, trial_stream(seeds[0], t)).values, *window)
+            for t in range(trials)
+        ]
+        summary = STATS[stat](n, x, y, trials, seeds[1])
+        joint = np.sqrt(np.var(fresh, ddof=1) / trials + summary.stderr ** 2)
+        assert abs(np.mean(fresh) - summary.mean) <= 5 * joint
