@@ -1,18 +1,20 @@
 """Exact comparability counts from the row-transfer dynamic program, next to
-the independent cover-graph closure count where that is small enough, plus
-the exact corner-event probabilities behind the product lower bound.
+a brute-force count of all pairs with the prefix-count scan where that is
+small enough, plus the exact corner-event probabilities behind the product
+lower bound.
 
 Run with: python demos/02_exact_counts.py
 """
-from bruhatmc import exact_comparability_count
+from bruhatmc import exact_comparability_count, is_leq_strong
 from bruhatmc.fkg import comparability_probability, corner_events_equal
-from bruhatmc.order import CLOSURE_COUNT_CAP, EXACT_COUNT_CAP, comparability_count_via_covers
+from bruhatmc.order import EXACT_COUNT_CAP, all_perms
 
-print("ordered comparable pairs (p <= t): row-transfer DP | cover-graph closure")
-for n in range(1, CLOSURE_COUNT_CAP + 1):
+print("ordered comparable pairs (p <= t): row-transfer DP | scan over S_n x S_n")
+for n in range(1, 6):
     dp = exact_comparability_count(n).comparable_pairs
-    covers = comparability_count_via_covers(n).comparable_pairs
-    print(f"  n={n}: {dp:>6} | {covers:>6}  ({'agree' if dp == covers else 'DIFFER'})")
+    perms = all_perms(n)
+    scan = sum(1 for p in perms for t in perms if is_leq_strong(p, t).leq)
+    print(f"  n={n}: {dp:>6} | {scan:>6}  ({'agree' if dp == scan else 'DIFFER'})")
 
 print(f"\nexact P(p <= t) up to the cap n = {EXACT_COUNT_CAP}:")
 for n in range(1, EXACT_COUNT_CAP + 1):

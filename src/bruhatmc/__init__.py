@@ -7,8 +7,7 @@ records) and pure functions over them:
 - :mod:`bruhatmc.perms`      permutations, dominance tables, symmetry maps,
   reproducible counter-based sampling streams
 - :mod:`bruhatmc.order`      strong/weak Bruhat comparability, cover relations,
-  exact comparable-pair counts by a dynamic program over rows, small-n
-  cover-graph oracles
+  exact comparable-pair counts by a dynamic program over rows
 - :mod:`bruhatmc.zprocess`   the prefix-difference process Z(a,b), rectangle
   sums and windowed maximum statistics
 - :mod:`bruhatmc.dists`      exact hypergeometric machinery, tail bounds and
@@ -39,7 +38,6 @@ from .order import (
     is_leq_strong,
     is_leq_weak,
     covering_successors,
-    reachability_leq,
     exact_comparability_count,
 )
 from .zprocess import (

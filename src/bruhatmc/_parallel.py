@@ -10,7 +10,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 # (workers, executor) of the active shared_pool, if any
 _shared: contextvars.ContextVar[tuple[int, ProcessPoolExecutor] | None]
@@ -55,10 +55,3 @@ def run_blocks(total: int, block_size: int, fn: Callable, workers: int = 1) -> l
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, *zip(*ranges)))
 
-
-def merge_mean_var(partials: Sequence[tuple[int, float, float]]) -> tuple[int, float, float]:
-    """Combine per-block (count, sum, sum of squares) triples."""
-    count = sum(p[0] for p in partials)
-    total = sum(p[1] for p in partials)
-    sumsq = sum(p[2] for p in partials)
-    return count, total, sumsq

@@ -102,6 +102,12 @@ def _one_int(text: str, name: str) -> int:
         raise ConfigError(f"{name}: expected an integer, got {text!r}") from None
 
 
+def _one_bool(text: str, name: str) -> bool:
+    if text.lower() not in ("true", "false", "yes", "no", "1", "0"):
+        raise ConfigError(f"{name}: expected true/false/yes/no/1/0, got {text!r}")
+    return text.lower() in ("true", "yes", "1")
+
+
 def _check_min(name: str, low: int, *values: int):
     if min(values) < low:
         raise ConfigError(f"{name} must be >= {low}, got {min(values)}")
@@ -190,6 +196,8 @@ def _read_mc_csv(path: str) -> list[EstimateResult]:
         n, trials, successes, seed = (_one_int(fields[i], f"{path}:{lineno}") for i in (0, 1, 2, 6))
         if not 0 <= successes <= trials or trials < 1:
             raise ConfigError(f"{path}:{lineno}: bad counts {successes}/{trials}")
+        if n < 1:
+            raise ConfigError(f"{path}:{lineno}: n must be >= 1, got {n}")
         results.append(EstimateResult.from_counts(n, trials, successes, seed, 0.0))
     return results
 
@@ -344,6 +352,37 @@ def _cmd_bernratio(args, argv):
     return EXIT_OK
 
 
+def _refuse_naive_mc(n_max: int, force: bool, hint: str):
+    if n_max > NAIVE_MC_MAX_N and not force:
+        raise LowCountRefusal(
+            f"naive Monte Carlo refused for n = {n_max} > {NAIVE_MC_MAX_N} (successes become "
+            f"vanishingly rare); {hint} to override"
+        )
+
+
+def _estimate_grid(command: str, key: str, sizes: list[int], trials: list[int], workers: int, estimate):
+    """Run estimate(size, trials) over the grid on one shared pool, logging
+    each point's progress and LOW-COUNT as ``{key}=size``."""
+    results = []
+    with shared_pool(workers):
+        for size, t in zip(sizes, trials):
+            r = estimate(size, t)
+            if r.low_count:
+                _log(f"LOW-COUNT: {key}={size} produced only {r.successes} successes")
+            _log(
+                f"{command} {key}={size}: p_hat={r.p_hat:.4g} "
+                f"[{r.ci_low:.4g}, {r.ci_high:.4g}] ({r.wall_time:.1f}s)"
+            )
+            results.append(r)
+    return results
+
+
+def _mc_grid(ns: list[int], trials: list[int], seed: int, workers: int) -> list[EstimateResult]:
+    return _estimate_grid(
+        "mc", "n", ns, trials, workers, lambda n, t: estimate_comparability(n, t, seed, workers=workers)
+    )
+
+
 def _cmd_mc(args, argv):
     started = _now()
     ns = _int_list(args.n, "--n")
@@ -351,30 +390,25 @@ def _cmd_mc(args, argv):
     _check_min("--n", 1, *ns)
     _check_min("--trials", 1, *trials)
     _check_min("workers", 1, args.workers)
-    if any(n > NAIVE_MC_MAX_N for n in ns) and not args.force:
-        raise LowCountRefusal(
-            f"naive Monte Carlo refused for n > {NAIVE_MC_MAX_N} (successes become "
-            "vanishingly rare); pass --force to override"
-        )
-    results = []
-    with shared_pool(args.workers):
-        for n, t in zip(ns, trials):
-            r = estimate_comparability(n, t, args.seed, workers=args.workers)
-            if r.low_count:
-                _log(f"LOW-COUNT: n={n} produced only {r.successes} successes")
-            _log(f"mc n={n}: p_hat={r.p_hat:.4g} [{r.ci_low:.4g}, {r.ci_high:.4g}] ({r.wall_time:.1f}s)")
-            results.append(r)
+    _refuse_naive_mc(max(ns), args.force, "pass --force")
+    results = _mc_grid(ns, trials, args.seed, args.workers)
     meta = {"seed": args.seed}
     outputs = _emit(_csv_text(MC_SCHEMA, meta, MC_COLUMNS, _estimate_rows(results)), args.out)
     _write_manifest(outputs, argv, {"command": "mc", "n": ns, "trials": trials, "seed": args.seed}, started)
     return EXIT_OK
 
 
-def _fit_payload(results: list[EstimateResult], include_low_count: bool) -> dict:
+def _fit_payload(results: list[EstimateResult], include_low_count: bool, label: str) -> dict:
+    """The decay fit as a JSON payload; logs a one-line summary under ``label``."""
     try:
         fit = fit_scaling(results, include_low_count=include_low_count)
     except ValueError as exc:
+        _log(f"{label} UNDERDETERMINED: {exc}")
         return {"status": "UNDERDETERMINED", "reason": str(exc), "version": __version__}
+    _log(
+        f"{label}: alpha={fit.alpha:.4f} beta={fit.beta:.4f} gamma={fit.gamma:.4f} "
+        f"r2={fit.r_squared:.4f} preferred={fit.preferred} (score {fit.comparison_score:.2f})"
+    )
     payload = dataclasses.asdict(fit)
     payload["residuals"] = list(payload["residuals"])
     payload["excluded"] = list(payload["excluded"])
@@ -387,16 +421,9 @@ def _fit_payload(results: list[EstimateResult], include_low_count: bool) -> dict
 def _cmd_fit(args, argv):
     started = _now()
     results = _read_mc_csv(args.input)
-    payload = _fit_payload(results, args.include_low_count)
+    payload = _fit_payload(results, args.include_low_count, "fit")
     outputs = _emit(_json_text(payload), args.out)
     _write_manifest(outputs, argv, {"command": "fit", "input": args.input}, started)
-    if payload["status"] == "UNDERDETERMINED":
-        _log(f"fit UNDERDETERMINED: {payload['reason']}")
-    else:
-        _log(
-            f"fit: alpha={payload['alpha']:.4f} beta={payload['beta']:.4f} "
-            f"gamma={payload['gamma']:.4f} r2={payload['r_squared']:.4f} preferred={payload['preferred']}"
-        )
     return EXIT_OK
 
 
@@ -415,16 +442,12 @@ def _cmd_gauss(args, argv):
         raise ConfigError(f"--p must be in (0, 1/2], got {args.p}")
     if args.mode == "zeta" and args.p is None:
         _check_min("--grid with the default p = 1/m^2", 2, *grid)
-    results = []
-    with shared_pool(args.workers):
-        for m, t in zip(grid, trials):
-            r = sheet_persistence(
-                m, args.threshold, t, args.seed, mode=args.mode, p=args.p, workers=args.workers
-            )
-            if r.low_count:
-                _log(f"LOW-COUNT: m={m} produced only {r.successes} successes")
-            _log(f"gauss m={m}: p_hat={r.p_hat:.4g} ({r.wall_time:.1f}s)")
-            results.append(r)
+    results = _estimate_grid(
+        "gauss", "m", grid, trials, args.workers,
+        lambda m, t: sheet_persistence(
+            m, args.threshold, t, args.seed, mode=args.mode, p=args.p, workers=args.workers
+        ),
+    )
     meta = {"mode": args.mode, "threshold": args.threshold, "seed": args.seed}
     if args.mode == "zeta":
         meta["p"] = "default-1/m^2" if args.p is None else args.p
@@ -539,37 +562,16 @@ def _cmd_pipeline_scaling(args, argv):
     seed = _one_int(config["seed"], "seed")
     workers = _one_int(config["workers"], "workers")
     _check_min("workers", 1, workers)
-    force = config["force"].lower() in ("true", "1", "yes")
-    if max(grid) > NAIVE_MC_MAX_N and not force:
-        raise LowCountRefusal(
-            f"n_grid reaches {max(grid)} > {NAIVE_MC_MAX_N}; naive Monte Carlo would "
-            "be dominated by LOW-COUNT points (set force = true to override)"
-        )
+    _refuse_naive_mc(max(grid), _one_bool(config["force"], "force"), "set force = true")
 
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = []
-    with shared_pool(workers):
-        for n, t in zip(grid, trials):
-            r = estimate_comparability(n, t, seed, workers=workers)
-            if r.low_count:
-                _log(f"LOW-COUNT: n={n} produced only {r.successes} successes")
-            _log(f"mc n={n}: p_hat={r.p_hat:.4g} ({r.wall_time:.1f}s)")
-            results.append(r)
+    results = _mc_grid(grid, trials, seed, workers)
     csv_path = out_dir / "results.csv"
     csv_path.write_text(_csv_text(MC_SCHEMA, {"seed": seed}, MC_COLUMNS, _estimate_rows(results)))
-    payload = _fit_payload(results, include_low_count=False)
     fit_path = out_dir / "fit.json"
-    fit_path.write_text(_json_text(payload))
+    fit_path.write_text(_json_text(_fit_payload(results, False, "scaling fit")))
     _write_manifest([csv_path, fit_path], argv, {"command": "pipeline-scaling", **config}, started)
-    if payload["status"] == "UNDERDETERMINED":
-        _log(f"scaling fit UNDERDETERMINED: {payload['reason']}")
-    else:
-        _log(
-            f"scaling fit: alpha={payload['alpha']:.4f} beta={payload['beta']:.4f} "
-            f"gamma={payload['gamma']:.4f} r2={payload['r_squared']:.4f} "
-            f"preferred={payload['preferred']} (score {payload['comparison_score']:.2f})"
-        )
     return EXIT_OK
 
 

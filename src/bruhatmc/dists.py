@@ -125,18 +125,12 @@ def hypergeom_sample(params: HyperGeomParams, stream: np.random.Generator, size:
     """Draw from the law by simulating the urn: B sequential draws without
     replacement, each a uniform pick among the remaining objects.
 
-    Returns an int for ``size=None``, else an int64 array of that length
-    (the same urn process run on all lanes at once).
+    Returns an int64 array of length ``size``, the urn process run on all
+    lanes at once; ``size=None`` returns the one draw of ``size=1`` as an int.
     """
-    N, B, A = params.N, params.B, params.A
     if size is None:
-        reds = A
-        hits = 0
-        for j in range(B):
-            if stream.integers(0, N - j) < reds:
-                hits += 1
-                reds -= 1
-        return hits
+        return int(hypergeom_sample(params, stream, size=1)[0])
+    N, B, A = params.N, params.B, params.A
     reds = np.full(size, A, dtype=np.int64)
     hits = np.zeros(size, dtype=np.int64)
     for j in range(B):

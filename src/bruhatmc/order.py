@@ -8,8 +8,7 @@ the running prefix difference, so a violated coordinate near the top-left
 
 Exact counts come from one dynamic program over rows, _window_count: the
 state after row a is the pair of value sets p and t have used so far, which
-fixes Z(a, .).  The cover-graph machinery is an exhaustive oracle for small
-n, not the production path.
+fixes Z(a, .).
 """
 from __future__ import annotations
 
@@ -20,14 +19,11 @@ from collections import defaultdict
 from fractions import Fraction
 from math import factorial
 
-from .perms import Permutation, inversion_count
+from .perms import Permutation
 
-# reachability_leq is an oracle; the cover graph blows up combinatorially
-REACHABILITY_CAP = 8
 # row-transfer counts: the largest n whose full square and four corner
 # windows each take about 3 s or less
 EXACT_COUNT_CAP = 10
-CLOSURE_COUNT_CAP = 6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -158,51 +154,6 @@ def _lex_index(n: int) -> dict[tuple[int, ...], int]:
     return {w: i for i, w in enumerate(itertools.permutations(range(1, n + 1)))}
 
 
-@functools.cache
-def _closure_masks(n: int) -> dict[tuple[int, ...], int]:
-    """For each p, the bitmask (over lexicographic indices) of all t >= p in
-    the cover-graph closure.  Built once per n."""
-    index = _lex_index(n)
-    masks: dict[tuple[int, ...], int] = {}
-    # process by descending inversion count so covers are already resolved
-    for w in sorted(index, key=lambda w: inversion_count(Permutation(w)), reverse=True):
-        mask = 1 << index[w]
-        for q in covering_successors(Permutation(w)):
-            mask |= masks[q.values]
-        masks[w] = mask
-    return masks
-
-
-def reachability_leq(p: Permutation, t: Permutation) -> bool:
-    """Oracle: is t reachable from p in the directed cover graph?
-
-    Memoized full closure for n <= 6; plain breadth-first search above that,
-    up to the hard cap of n = 8.
-    """
-    if p.n != t.n:
-        raise ValueError(f"size mismatch: {p.n} vs {t.n}")
-    n = p.n
-    if n > REACHABILITY_CAP:
-        raise ValueError(f"n={n} above the reachability oracle cap {REACHABILITY_CAP}")
-    if n <= CLOSURE_COUNT_CAP:
-        return bool(_closure_masks(n)[p.values] >> _lex_index(n)[t.values] & 1)
-    if p.values == t.values:
-        return True
-    frontier = [p.values]
-    seen = {p.values}
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for q in covering_successors(Permutation(w)):
-                if q.values == t.values:
-                    return True
-                if q.values not in seen:
-                    seen.add(q.values)
-                    nxt.append(q.values)
-        frontier = nxt
-    return False
-
-
 def _window_count(n: int, rows: range, cols: range) -> int:
     """Number of pairs (p, t) in S_n x S_n with Z(a, b) >= 0 for every a in
     ``rows`` and b in ``cols``, counted row by row.
@@ -252,12 +203,3 @@ def exact_comparability_count(n: int) -> ExactCount:
     """
     square = range(1, n + 1)
     return ExactCount(n, _window_count(n, square, square), factorial(n) ** 2)
-
-
-def comparability_count_via_covers(n: int) -> ExactCount:
-    """Independent count of comparable pairs from the cover-graph closure."""
-    if not 1 <= n <= CLOSURE_COUNT_CAP:
-        raise ValueError(f"n={n} above the closure cap {CLOSURE_COUNT_CAP}")
-    masks = _closure_masks(n)
-    count = sum(m.bit_count() for m in masks.values())
-    return ExactCount(n, count, factorial(n) ** 2)

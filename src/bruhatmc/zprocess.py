@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from ._parallel import merge_mean_var, run_blocks
+from ._parallel import run_blocks
 from .perms import MAX_TABLE_SIZE, Permutation, trial_stream
 
 _STAT_BLOCK = 256  # trials per merge block; each block owns one stream
@@ -185,7 +185,7 @@ def _window_max(
         raise ValueError("trials must be >= 1")
     y1 = min(5 * y // 4, n)
     fn = partial(_window_stat_block, seed=seed, n=n, r0=r0, r1=r1, first=first, y0=y, y1=y1)
-    count, total, sumsq = merge_mean_var(run_blocks(trials, _STAT_BLOCK, fn, workers))
+    count, total, sumsq = (sum(col) for col in zip(*run_blocks(trials, _STAT_BLOCK, fn, workers)))
     mean = total / count
     var = max(sumsq / count - mean * mean, 0.0) * (count / max(count - 1, 1))
     return TrialSummary(mean=mean, stderr=math.sqrt(var / count), trials=count)

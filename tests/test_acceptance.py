@@ -48,13 +48,12 @@ from bruhatmc.fkg import (
 )
 from bruhatmc.order import (
     all_perms,
-    comparability_count_via_covers,
     exact_comparability_count,
     is_leq_strong,
-    reachability_leq,
 )
 from bruhatmc.perms import sample_uniform, trial_stream
 from bruhatmc.zprocess import Rectangle, max_rect_stat, max_strip_stat, persistence_holds, z_table
+from oracles import comparable_pairs, reachable
 
 WORKERS = 2
 
@@ -81,7 +80,7 @@ def test_c01_criterion_equivalence_vs_cover_reachability():
     for n in (2, 3, 4, 5):
         for p in all_perms(n):
             for t in all_perms(n):
-                assert is_leq_strong(p, t).leq == reachability_leq(p, t), (p, t)
+                assert is_leq_strong(p, t).leq == reachable(p, t), (p, t)
     report(1, "prefix criterion == cover reachability, n <= 5")
 
 
@@ -102,8 +101,7 @@ def test_c03_exact_small_n_probabilities():
         scan = exact_comparability_count(n)
         assert scan.probability == EXACT_PROBS[n]
         if n <= 5:
-            covers = comparability_count_via_covers(n)
-            assert covers.comparable_pairs == scan.comparable_pairs
+            assert comparable_pairs(n) == scan.comparable_pairs
     for n in (3, 4, 5, 6):
         r = estimate_comparability(n, 10**6, 20260810, workers=WORKERS)
         assert r.ci_low <= float(EXACT_PROBS[n]) <= r.ci_high, (n, r)

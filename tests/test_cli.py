@@ -204,11 +204,22 @@ class TestFit:
         assert code == EXIT_CONFIG
         assert out == "" and err.count("\n") == 1 and "absent.csv: cannot read" in err
 
-    @pytest.mark.parametrize("row", ["4,100,5", "4,100,x,0.05,0.0,0.1,3", "4,100,101,1.0,0.9,1.0,3"])
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "4,100,5",
+            "4,100,x,0.05,0.0,0.1,3",
+            "4,100,101,1.0,0.9,1.0,3",
+            "0,100,5,0.05,0.0,0.1,3",
+            "-3,100,5,0.05,0.0,0.1,3",
+        ],
+    )
     def test_malformed_row_is_config_error(self, capsys, tmp_path, row):
         bad = tmp_path / "bad.csv"
         header = f"# schema={MC_SCHEMA} software=bruhatmc-0.1.0 seed=3\n{','.join(MC_COLUMNS)}\n"
-        bad.write_text(header + row + "\n")
+        # enough valid rows after the bad one for a fit to go through
+        valid = "".join(f"{n},1000,{s},0.1,0.0,0.2,3\n" for n, s in [(4, 370), (6, 190), (8, 100), (12, 40)])
+        bad.write_text(header + row + "\n" + valid)
         code, out, err = run(capsys, "fit", "--input", str(bad))
         assert code == EXIT_CONFIG
         assert out == "" and err.count("\n") == 1 and "bad.csv:3" in err
@@ -494,6 +505,21 @@ class TestPipelineScaling:
         assert code == EXIT_CONFIG
         assert out == "" and err.count("\n") == 1 and "expected an integer" in err
 
+    @pytest.mark.parametrize(
+        "value, code",
+        [
+            ("flase", EXIT_CONFIG), ("2", EXIT_CONFIG), ("on", EXIT_CONFIG), ("", EXIT_CONFIG),
+            ("YES", EXIT_OK), ("True", EXIT_OK), ("1", EXIT_OK), ("No", EXIT_LOWCOUNT), ("0", EXIT_LOWCOUNT),
+        ],
+    )
+    def test_force_must_be_boolean(self, capsys, tmp_path, value, code):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"n_grid = 4,128\ntrials = 10\nforce = {value}\nout_dir = {tmp_path / 'run'}\n")
+        got, out, err = run(capsys, "pipeline-scaling", "--config", str(cfg))
+        assert got == code
+        if code == EXIT_CONFIG:
+            assert out == "" and err.count("\n") == 1 and "force: expected true/false" in err
+
     def test_missing_config_is_config_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "pipeline-scaling", "--config", str(tmp_path / "absent.cfg"))
         assert code == EXIT_CONFIG
@@ -517,6 +543,24 @@ class TestPipelineScaling:
         assert code == EXIT_OK
         assert (tmp_path / "a/results.csv").read_bytes() == (tmp_path / "b/results.csv").read_bytes()
         assert (tmp_path / "a/fit.json").read_bytes() == (tmp_path / "b/fit.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["mc", "--n", "4,64", "--trials", "2000", "--seed", "1"], "n"),
+        (["pipeline-scaling", "--n-grid", "4,64", "--trials", "2000", "--seed", "1"], "n"),
+        (["gauss", "--grid", "4,64", "--threshold", "1", "--trials", "2000", "--seed", "1"], "m"),
+    ],
+)
+def test_low_count_is_logged_once_per_unresolved_size(capsys, tmp_path, argv, key):
+    if argv[0] == "pipeline-scaling":
+        argv = argv + ["--out-dir", str(tmp_path / "run")]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_OK
+    low = [line for line in err.splitlines() if line.startswith("LOW-COUNT:")]
+    # size 4 resolves (hundreds of successes), size 64 does not
+    assert len(low) == 1 and low[0].startswith(f"LOW-COUNT: {key}=64 produced only ")
 
 
 class TestParser:

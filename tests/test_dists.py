@@ -108,6 +108,12 @@ class TestSampler:
         assert hypergeom_sample(HyperGeomParams(10, 0, 5), stream) == 0
         assert hypergeom_sample(HyperGeomParams(10, 10, 4), stream) == 4
 
+    def test_scalar_draws_pinned(self):
+        stream = trial_stream(5)
+        draws = [hypergeom_sample(HyperGeomParams(100, 37, 60), stream) for _ in range(20)]
+        assert all(type(k) is int for k in draws)
+        assert draws == [25, 22, 21, 24, 20, 24, 20, 22, 21, 21, 25, 22, 20, 19, 25, 20, 22, 24, 21, 22]
+
     def test_scalar_matches_law(self):
         params = HyperGeomParams(6, 3, 2)
         stream = trial_stream(8)

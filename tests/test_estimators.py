@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -436,6 +437,13 @@ class TestLiShao:
         result = li_shao_sum(400, 50)
         assert result.closed_form == Fraction(441, 361)
         assert result.bound_satisfied
+        assert abs(result.supremum_over_ij - 441 / 361) < 1e-10
+
+    def test_large_index_range_is_linear_memory(self):
+        # the full (2R+1)^2 kernel matrix at R = 10^6 would need about 30 TB
+        start = time.perf_counter()
+        result = li_shao_sum(400, 10**6)
+        assert time.perf_counter() - start < 1.0
         assert abs(result.supremum_over_ij - 441 / 361) < 1e-10
 
     def test_limit_for_large_rho(self):

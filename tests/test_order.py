@@ -9,18 +9,17 @@ from bruhatmc.order import (
     ComparabilityVerdict,
     _window_count,
     all_perms,
-    comparability_count_via_covers,
     covering_successors,
     exact_comparability_count,
     is_leq_strong,
     is_leq_weak,
-    reachability_leq,
 )
 from bruhatmc.perms import Permutation, inversion_count, sample_uniform, symmetry_map, trial_stream
 from bruhatmc.zprocess import z_table
+from oracles import comparable_pairs, reachable
 
-# frozen by the in-repo cover-closure oracle (see test_scan_and_closure_agree);
-# n = 7 by enumerating all 5040^2 pairs with the prefix-count scan
+# frozen by the cover-closure oracle in tests/oracles.py (see
+# test_scan_and_closure_agree)
 EXACT_COMPARABLE = {1: 1, 2: 3, 3: 19, 4: 213, 5: 3781, 6: 98407, 7: 3_550_919}
 
 
@@ -172,29 +171,24 @@ class TestCovers:
 class TestReachability:
     def test_reflexive_and_extremes(self):
         p = Permutation((3, 1, 2))
-        assert reachability_leq(p, p)
-        assert reachability_leq(Permutation.identity(3), Permutation.reverse(3))
+        assert reachable(p, p)
+        assert reachable(Permutation.identity(3), Permutation.reverse(3))
 
     def test_agrees_with_scan_on_s3(self):
         for p in all_perms(3):
             for t in all_perms(3):
-                assert reachability_leq(p, t) == is_leq_strong(p, t).leq
+                assert reachable(p, t) == is_leq_strong(p, t).leq
 
-    def test_bfs_path_used_above_closure_cap(self):
-        assert reachability_leq(Permutation.identity(7), Permutation.reverse(7))
-        assert not reachability_leq(Permutation.reverse(7), Permutation.identity(7))
-
-    def test_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            reachability_leq(Permutation.identity(9), Permutation.identity(9))
+    def test_closure_spans_n7(self):
+        assert reachable(Permutation.identity(7), Permutation.reverse(7))
+        assert not reachable(Permutation.reverse(7), Permutation.identity(7))
 
 
 class TestExactCounts:
     def test_scan_and_closure_agree(self):
-        for n in range(1, 6):
-            scan = exact_comparability_count(n)
-            covers = comparability_count_via_covers(n)
-            assert scan.comparable_pairs == covers.comparable_pairs == EXACT_COMPARABLE[n]
+        for n in range(1, 8):
+            scan = exact_comparability_count(n).comparable_pairs
+            assert scan == comparable_pairs(n) == EXACT_COMPARABLE[n]
 
     def test_matches_pair_enumeration(self):
         for n in range(1, 7):
@@ -247,5 +241,3 @@ class TestExactCounts:
             exact_comparability_count(-2)
         with pytest.raises(ValueError, match=f"above the exact-count cap {EXACT_COUNT_CAP}"):
             exact_comparability_count(EXACT_COUNT_CAP + 1)
-        with pytest.raises(ValueError, match="closure cap"):
-            comparability_count_via_covers(7)
