@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -52,7 +53,7 @@ EXIT_LOWCOUNT = 4
 MC_SCHEMA = "mc-v3"
 # schemas fit still reads: older rows are identical, only the stream layout differs
 MC_READABLE = (MC_SCHEMA, "mc-v2", "mc-v1")
-GAUSS_SCHEMA = "gauss-v2"
+GAUSS_SCHEMA = "gauss-v3"
 CHAINSTAT_SCHEMA = "chainstat-v2"
 NAIVE_MC_MAX_N = 64
 
@@ -145,7 +146,8 @@ def _csv_text(schema: str, meta: dict, header: list[str], rows: list[list]) -> s
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # strict JSON: a NaN or infinity fails here instead of in a reader
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_manifest(outputs: list[Path], argv: list[str], params: dict, started: str):
@@ -163,7 +165,7 @@ def _write_manifest(outputs: list[Path], argv: list[str], params: dict, started:
         },
     }
     path = outputs[0].with_name(outputs[0].name + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    path.write_text(_json_text(manifest))
 
 
 def rerun_manifest(path: str | Path) -> int:
@@ -198,6 +200,16 @@ def _read_mc_csv(path: str) -> list[EstimateResult]:
             raise ConfigError(f"{path}:{lineno}: bad counts {successes}/{trials}")
         if n < 1:
             raise ConfigError(f"{path}:{lineno}: n must be >= 1, got {n}")
+        try:  # NaN and infinities fail the range check
+            p_hat, ci_low, ci_high = (float(fields[i]) for i in (3, 4, 5))
+            valid = p_hat == successes / trials and 0 <= ci_low <= p_hat <= ci_high <= 1
+        except ValueError:
+            valid = False
+        if not valid:
+            raise ConfigError(
+                f"{path}:{lineno}: need 0 <= ci_low <= p_hat = {successes}/{trials} <= ci_high <= 1, "
+                f"got ci_low={fields[4]!r} p_hat={fields[3]!r} ci_high={fields[5]!r}"
+            )
         results.append(EstimateResult.from_counts(n, trials, successes, seed, 0.0))
     return results
 
@@ -399,22 +411,27 @@ def _cmd_mc(args, argv):
 
 
 def _fit_payload(results: list[EstimateResult], include_low_count: bool, label: str) -> dict:
-    """The decay fit as a JSON payload; logs a one-line summary under ``label``."""
-    try:
-        fit = fit_scaling(results, include_low_count=include_low_count)
-    except ValueError as exc:
-        _log(f"{label} UNDERDETERMINED: {exc}")
-        return {"status": "UNDERDETERMINED", "reason": str(exc), "version": __version__}
+    """The decay fit as a JSON payload; logs each excluded point and a
+    one-line summary under ``label``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            fit = fit_scaling(results, include_low_count=include_low_count)
+        except ValueError as exc:
+            fit, reason = None, str(exc)
+    for w in caught:
+        _log(f"{label}: {w.message}")
+    if fit is None:
+        _log(f"{label} UNDERDETERMINED: {reason}")
+        return {"status": "UNDERDETERMINED", "reason": reason, "version": __version__}
+    score = "undefined" if fit.comparison_score is None else f"{fit.comparison_score:.2f}"
     _log(
         f"{label}: alpha={fit.alpha:.4f} beta={fit.beta:.4f} gamma={fit.gamma:.4f} "
-        f"r2={fit.r_squared:.4f} preferred={fit.preferred} (score {fit.comparison_score:.2f})"
+        f"r2={fit.r_squared:.4f} preferred={fit.preferred} (score {score})"
     )
+    # json writes the tuple fields as arrays
     payload = dataclasses.asdict(fit)
-    payload["residuals"] = list(payload["residuals"])
-    payload["excluded"] = list(payload["excluded"])
-    payload["comparison_score"] = fit.comparison_score
-    payload["status"] = "OK"
-    payload["version"] = __version__
+    payload.update(comparison_score=fit.comparison_score, status="OK", version=__version__)
     return payload
 
 

@@ -1,17 +1,18 @@
 """Monte Carlo estimators and scaling fits for comparability and persistence.
 
 Comparability, box persistence and sheet persistence each ask whether a
-prefix-sum field stays at or above a floor row after row; all three run on
-one batched kernel, _survivors, fed rows of permutation-pair or sheet
-increments.  The kernel visits a row in column chunks and drops a trial at
-the chunk where it fails: pair rows come as one chunk, sheet rows in chunks
-of 16, 32, 64, ... columns, drawn only for the trials still alive.  Pair
-rows come from a row-by-row Fisher-Yates shuffle over per-pair pools of
-unused values: comparability draws a row only for the pairs still alive,
-and box persistence draws its window's rows for every pair before its scan
-so that its floors stay coupled.  Each fixed-size block of trials draws
-from one counter-based stream keyed by (seed, block index), so results are
-bit-identical no matter how many workers execute the blocks.
+prefix-sum field stays at or above a floor; all three run on one batched
+kernel, _survivors, a loop of steps that each extend the field by a few
+cells for the trials still alive and drop a trial at the first step where
+it fails.  For a permutation pair a step is one row of Z; for a sheet it is
+the border that grows the k-1 x k-1 square to k x k.  Pair rows come from a
+row-by-row Fisher-Yates shuffle over per-pair pools of unused values:
+comparability draws a row only for the pairs still alive, and box
+persistence draws its window's rows for every pair before its scan so that
+its floors stay coupled.  Sheet borders are drawn only for the trials
+still alive.  Each fixed-size block of trials draws from one counter-based
+stream keyed by (seed, block index), so results are bit-identical no
+matter how many workers execute the blocks.
 """
 from __future__ import annotations
 
@@ -30,8 +31,6 @@ from .perms import trial_stream
 _Z95 = 1.959963984540054  # normal 97.5% quantile for Wilson intervals
 _MC_BLOCK = 4096  # trials per merge block (comparability / box persistence)
 _SHEET_BLOCK = 8192  # trials per sheet block; each block owns one stream
-_SHEET_CHUNK = 16  # width of a sheet row's first column chunk; later ones double
-_KILL_SHARE = 0.25  # a row is drawn in chunks after a row that killed this share
 _PAIR_DRAW = 1 << 18  # entries per Fisher-Yates pool array (sub-batch cap)
 LOW_COUNT_THRESHOLD = 20
 
@@ -80,54 +79,25 @@ class EstimateResult:
         return self.successes < LOW_COUNT_THRESHOLD
 
 
-def _survivors(row, rows: range, first: int, floor_level: float, count: int, bounds) -> int:
-    """Number of a block's ``count`` trials whose running row stays at or
-    above ``floor_level`` on every row a >= ``first`` of ``rows``.
+def _survivors(step, steps: range, first: int, floor_level: float, count: int) -> int:
+    """Number of a block's ``count`` trials whose field stays at or above
+    ``floor_level`` on every step a >= ``first`` of ``steps``.
 
-    ``row(a, idx, c0, c1)`` returns row a's increments for the trials
-    ``idx`` on window columns [c0, c1), prefix-summed along the row from c0.
-    The first row, and each row after one that killed at least _KILL_SHARE
-    of the trials it started with, is visited in the column chunks
-    [bounds[j], bounds[j + 1]): after each chunk the kernel adds the row's
-    carry and the previous row, checks the floor, and asks for later chunks
-    only for the trials still alive.  Other rows lose few trials and are
-    visited as one chunk, which costs less there.  The work per chunk
-    touches only the chunk's columns; the full row is compacted at most
-    once, at its end.  The scan stops when no trial is left.
+    ``z = step(a, idx, z)`` returns the cells that step a adds for the
+    trials ``idx`` still alive, given the cells it returned for them at
+    step a - 1 (None at the first).  The scan drops the trials that fail
+    and stops when none is left.
     """
     idx = np.arange(count)
     z = None
-    chunked = True
-    for a in rows:
-        start = idx.size
-        row_bounds = bounds if chunked else (0, bounds[-1])
-        pos = None  # row-start positions of the trials still alive; None: all
-        parts = []  # (chunk values, row-start positions of their trials)
-        carry = None
-        for c0, c1 in zip(row_bounds, row_bounds[1:]):
-            zc = row(a, idx if pos is None else idx[pos], c0, c1)
-            if carry is not None:
-                zc += carry[:, None]
-            if c1 < bounds[-1]:
-                carry = zc[:, -1].copy()
-            if z is not None:
-                zc += z[:, c0:c1] if pos is None else z[pos, c0:c1]
-            parts.append((zc, pos))
-            if a >= first:
-                keep = zc.min(axis=1) >= floor_level
-                if not keep.all():
-                    live = np.flatnonzero(keep)
-                    if live.size == 0:
-                        return 0
-                    pos = live if pos is None else pos[live]
-                    if carry is not None:
-                        carry = carry[live]
-        if pos is not None:
-            idx = idx[pos]
-        # keep, in each chunk, the rows of the trials alive at the row's end
-        pieces = [zc if at is pos else zc[pos if at is None else np.searchsorted(at, pos)] for zc, at in parts]
-        z = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
-        chunked = idx.size <= start * (1 - _KILL_SHARE)
+    for a in steps:
+        z = step(a, idx, z)
+        if a >= first:
+            keep = z.min(axis=1) >= floor_level
+            if not keep.all():
+                idx, z = idx[keep], z[keep]
+                if idx.size == 0:
+                    return 0
     return idx.size
 
 
@@ -137,8 +107,9 @@ def _pair_block(
 ) -> int:
     """Successes within one block of permutation pairs (p, t).
 
-    Row a of Z adds [b >= p(a)] - [b >= t(a)] on the columns b in ``cols``,
-    scanned as one chunk (each entry already holds its whole row prefix).
+    Step a of the scan is row a of Z on the columns b in ``cols``: row a - 1
+    plus the increment [b >= p(a)] - [b >= t(a)], whose entries already hold
+    their whole row prefix.
     The block's pairs come from trial_stream(seed, block) in sub-batches of
     at most _PAIR_DRAW // n pairs, drawn row by row by a Fisher-Yates
     shuffle (CSV schema mc-v3).  Each pair keeps two pools of unused values,
@@ -169,7 +140,7 @@ def _pair_block(
             highs = n + 1 - np.asarray(rows)[:, None, None]
             drawn = g.integers(0, highs, size=(len(rows), 2, count), dtype=dtype)
 
-        def row(a, idx, c0, c1):
+        def row(a, idx, z):
             if upfront:
                 j = drawn[a - rows.start][:, idx]
             else:  # p's indices, then t's
@@ -178,9 +149,10 @@ def _pair_block(
             at = head + j
             v = pools[at]  # p(a) - 1 and t(a) - 1
             pools[at] = pools[head]
-            return np.subtract(b >= v[0][:, None], b >= v[1][:, None], dtype=dtype)
+            inc = np.subtract(b >= v[0][:, None], b >= v[1][:, None], dtype=dtype)
+            return inc if z is None else np.add(inc, z, out=inc)
 
-        succ += _survivors(row, rows, first, floor_level, count, (0, b.size))
+        succ += _survivors(row, rows, first, floor_level, count)
     return succ
 
 
@@ -244,33 +216,37 @@ def _sheet_increments(g: np.random.Generator, shape, q: float | None) -> np.ndar
     return (u < q).astype(np.float64) - (u > 1.0 - q)
 
 
-def _sheet_bounds(m: int) -> tuple[int, ...]:
-    """Column chunk bounds of a sheet row: widths 16, 32, 64, ..., then
-    the remainder, so (0, 16, 48, 112, 240, 300) at m = 300."""
-    bounds, width = [0], _SHEET_CHUNK
-    while bounds[-1] < m:
-        bounds.append(min(bounds[-1] + width, m))
-        width *= 2
-    return tuple(bounds)
+def _square_border(border: np.ndarray, k: int, z: np.ndarray | None) -> np.ndarray:
+    """Turn, in place, the increments of row k on columns 1..k, then of
+    column k on rows 1..k-1, into the border [Z(k, 1..k) | Z(1..k-1, k)],
+    given the previous border ``z`` (None at k = 1)."""
+    row, col = border[:, :k], border[:, k:]
+    np.cumsum(row, axis=1, out=row)
+    np.cumsum(col, axis=1, out=col)
+    if z is not None:
+        row[:, :-1] += z[:, : k - 1]
+        col[:, :-1] += z[:, k - 1 :]
+        col[:, -1] += z[:, k - 2]  # the old corner Z(k-1, k-1)
+        row[:, -1] += col[:, -1]  # Z(k-1, k)
+    return border
 
 
 def _sheet_block(lo: int, hi: int, seed: int, m: int, floor_level: float, q: float | None) -> int:
     """Successes within one block; all randomness from the block's stream.
 
-    Rows are drawn chunk by chunk in _sheet_bounds(m) order, each chunk only
-    for the trials still above the floor after the chunks and rows before
-    it, so a trial costs draws up to the chunk where it fails.  A row after
-    one that killed less than _KILL_SHARE of its trials is drawn whole.
-    The draw order is therefore fixed by the block's own trials, not by the
-    worker count (CSV schema gauss-v2).
+    The sheet is scanned as a growing square: step k extends the
+    (k-1) x (k-1) square to k x k, so a trial dies at the first square whose
+    new border drops below the floor.  Step k draws, only for the trials
+    still alive, one array of shape (alive, 2k - 1) in _square_border's
+    layout (CSV schema gauss-v3), so the draw order depends on the block's
+    own trials, not on the worker count.
     """
     g = trial_stream(seed, lo // _SHEET_BLOCK)
 
-    def row(a, idx, c0, c1):
-        inc = _sheet_increments(g, (idx.size, c1 - c0), q)
-        return np.cumsum(inc, axis=1, out=inc)
+    def square(k, idx, z):
+        return _square_border(_sheet_increments(g, (idx.size, 2 * k - 1), q), k, z)
 
-    return _survivors(row, range(1, m + 1), 1, floor_level, hi - lo, _sheet_bounds(m))
+    return _survivors(square, range(1, m + 1), 1, floor_level, hi - lo)
 
 
 def sheet_persistence(
@@ -348,9 +324,9 @@ def _wls(design: np.ndarray, y: np.ndarray, weights: np.ndarray):
     return beta, fitted, chi2, r2
 
 
-def _aicc(chi2: float, n_points: int, k: int) -> float:
+def _aicc(chi2: float, n_points: int, k: int) -> float | None:
     if n_points - k - 1 <= 0:
-        return math.inf
+        return None
     return chi2 + 2 * k + 2 * k * (k + 1) / (n_points - k - 1)
 
 
@@ -364,23 +340,25 @@ class ScalingFit:
     gamma: float
     residuals: tuple[float, ...]
     r_squared: float
-    aicc_full: float
+    aicc_full: float | None  # None: too few points for the AICc
     aicc_submodel: float
-    preferred: str  # "log-squared" or "polynomial"
+    preferred: str  # "log-squared", "polynomial" or "undetermined"
     n_points: int
     excluded: tuple[int, ...]
 
     @property
-    def comparison_score(self) -> float:
+    def comparison_score(self) -> float | None:
         """aicc_submodel - aicc_full; positive favors the (ln n)^2 model."""
-        return self.aicc_submodel - self.aicc_full
+        return None if self.aicc_full is None else self.aicc_submodel - self.aicc_full
 
 
 def fit_scaling(results: list[EstimateResult], include_low_count: bool = False) -> ScalingFit:
     """Fit the decay model to a grid of comparability estimates.
 
     Points with p_hat = 0 or 1 are excluded (no usable log variance), as are
-    LOW-COUNT points unless ``include_low_count`` is set.
+    LOW-COUNT points unless ``include_low_count`` is set.  With exactly four
+    usable sizes the full model's AICc is undefined, so the comparison is
+    None and ``preferred`` is "undetermined".
     """
     usable = []
     excluded = []
@@ -402,7 +380,11 @@ def fit_scaling(results: list[EstimateResult], include_low_count: bool = False) 
     beta_full, fitted, chi2_full, r2 = _wls(design, y, weights)
     _, _, chi2_sub, _ = _wls(design[:, 1:], y, weights)
     aicc_full = _aicc(chi2_full, len(usable), 3)
-    aicc_sub = _aicc(chi2_sub, len(usable), 2)
+    aicc_sub = _aicc(chi2_sub, len(usable), 2)  # defined: four or more points
+    if aicc_full is None:
+        preferred = "undetermined"
+    else:
+        preferred = "log-squared" if aicc_sub > aicc_full else "polynomial"
     return ScalingFit(
         alpha=float(beta_full[0]),
         beta=float(beta_full[1]),
@@ -411,7 +393,7 @@ def fit_scaling(results: list[EstimateResult], include_low_count: bool = False) 
         r_squared=r2,
         aicc_full=aicc_full,
         aicc_submodel=aicc_sub,
-        preferred="log-squared" if aicc_sub > aicc_full else "polynomial",
+        preferred=preferred,
         n_points=len(usable),
         excluded=tuple(excluded),
     )

@@ -14,6 +14,7 @@ from bruhatmc.cli import (
     main,
     rerun_manifest,
 )
+from bruhatmc.estimators import wilson_interval
 from bruhatmc.order import EXACT_COUNT_CAP
 
 
@@ -212,17 +213,65 @@ class TestFit:
             "4,100,101,1.0,0.9,1.0,3",
             "0,100,5,0.05,0.0,0.1,3",
             "-3,100,5,0.05,0.0,0.1,3",
+            "4,1000,370,abc,zz,,3",
+            "4,1000,370,0.5,0.3,0.6,3",
+            "4,1000,370,0.37,0.38,0.4,3",
+            "4,1000,370,0.37,0.3,1.5,3",
+            "4,1000,370,0.37,nan,0.4,3",
+            "4,1000,370,0.37,0.3,inf,3",
         ],
     )
     def test_malformed_row_is_config_error(self, capsys, tmp_path, row):
         bad = tmp_path / "bad.csv"
         header = f"# schema={MC_SCHEMA} software=bruhatmc-0.1.0 seed=3\n{','.join(MC_COLUMNS)}\n"
         # enough valid rows after the bad one for a fit to go through
-        valid = "".join(f"{n},1000,{s},0.1,0.0,0.2,3\n" for n, s in [(4, 370), (6, 190), (8, 100), (12, 40)])
+        valid = "".join(
+            f"{n},1000,{s},{s / 1000!r},{wilson_interval(s, 1000)[0]!r},{wilson_interval(s, 1000)[1]!r},3\n"
+            for n, s in [(4, 370), (6, 190), (8, 100), (12, 40)]
+        )
+        good = tmp_path / "good.csv"
+        good.write_text(header + valid)
+        assert run(capsys, "fit", "--input", str(good))[0] == EXIT_OK
         bad.write_text(header + row + "\n" + valid)
         code, out, err = run(capsys, "fit", "--input", str(bad))
         assert code == EXIT_CONFIG
         assert out == "" and err.count("\n") == 1 and "bad.csv:3" in err
+
+    def test_four_sizes_write_strict_json(self, capsys, tmp_path):
+        # the full model's AICc needs five points: with four it is undefined
+        src = self._make_results(capsys, tmp_path)
+        fit_file = tmp_path / "fit.json"
+        code, _, err = run(capsys, "fit", "--input", str(src), "--out", str(fit_file))
+        assert code == EXIT_OK
+
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        payload = json.loads(fit_file.read_text(), parse_constant=reject)
+        assert payload["n_points"] == 4
+        assert payload["aicc_full"] is None and payload["comparison_score"] is None
+        assert isinstance(payload["aicc_submodel"], float)
+        assert payload["preferred"] == "undetermined"
+        assert "score undefined" in err
+        manifest = tmp_path / "fit.json.manifest.json"
+        json.loads(manifest.read_text(), parse_constant=reject)
+
+    @pytest.mark.parametrize("command", ["fit", "pipeline-scaling"])
+    def test_exclusions_are_one_line_messages(self, capsys, tmp_path, command):
+        # n = 64 has no successes at this budget and is excluded from the fit
+        if command == "fit":
+            src = self._make_results(capsys, tmp_path, grid="4,6,8,12,64", trials="2000")
+            argv = ["fit", "--input", str(src)]
+        else:
+            argv = ["pipeline-scaling", "--n-grid", "4,6,8,12,64", "--trials", "2000", "--seed", "3",
+                    "--out-dir", str(tmp_path / "run")]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_OK
+        excluded = [line for line in err.splitlines() if "excluding" in line]
+        assert excluded == [
+            f"{'fit' if command == 'fit' else 'scaling fit'}: excluding n=64: p_hat=0.0 has no usable log variance"
+        ]
+        assert "UserWarning" not in err and ".py" not in err and "warnings.warn" not in err
 
     def test_binary_input_is_config_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -255,12 +304,13 @@ class TestGauss:
         )
         lines = out.splitlines()
         assert code == EXIT_OK
-        assert lines[0].startswith("# schema=gauss-v2")
+        assert lines[0].startswith("# schema=gauss-v3")
         assert len(lines) == 5
         assert "psi_hat" in err
 
     def test_chunked_rows_are_worker_invariant(self, tmp_path):
-        # m = 300 rows end in a 60-column remainder chunk
+        # gauss-v3: each block draws its squares' borders only for its trials
+        # still alive, so its draws must not depend on the worker count
         outputs = []
         for workers in ("1", "2"):
             out = tmp_path / f"w{workers}.csv"
@@ -268,6 +318,7 @@ class TestGauss:
                     "--seed", "12", "--workers", workers, "--out", str(out)]
             assert main(argv) == EXIT_OK
             outputs.append(out.read_bytes())
+        assert outputs[0].startswith(b"# schema=gauss-v3 ")
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])

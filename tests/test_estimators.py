@@ -6,7 +6,7 @@ import pytest
 
 from bruhatmc.estimators import (
     EstimateResult,
-    _sheet_bounds,
+    _square_border,
     _survivors,
     estimate_box_persistence,
     estimate_comparability,
@@ -126,43 +126,35 @@ class TestSurvivalKernel:
             assert 0 < expected < count
             assert estimate_box_persistence(n, x, y, c_log, count, seed).successes == expected
 
-    @pytest.mark.parametrize("m", [1, 15, 16, 17, 48, 49, 112, 113])
+    @pytest.mark.parametrize("m", [1, 2, 3, 15, 16, 17, 48, 49, 64, 112, 113])
     def test_chunked_rows_match_brute_force_minimum(self, m):
-        # integer increments keep every sum exact, so ties at the floor count
+        # the square scan against the brute-force minimum; integer increments
+        # keep every sum exact, so ties at the floor count
         count = min(3000, 5_000_000 // (m * m))  # field and its sums stay under 100 MB
         field = trial_stream(606, m).integers(-2, 3, size=(count, m, m)).astype(np.float64)
-        sums = np.cumsum(field, axis=1)
-        np.cumsum(sums, axis=2, out=sums)
-        minima = sums.min(axis=(1, 2))
-        del sums
+        minima = np.cumsum(np.cumsum(field, axis=1), axis=2).min(axis=(1, 2))
 
-        def row(a, idx, c0, c1):
-            return np.cumsum(field[idx, a - 1, c0:c1], axis=1)
+        def square(k, idx, z):
+            # row k on columns 1..k, then column k on rows 1..k-1
+            drawn = np.concatenate([field[idx, k - 1, :k], field[idx, : k - 1, k - 1]], axis=1)
+            return _square_border(drawn, k, z)
 
         floors = sorted({float(f) for f in np.quantile(minima, [0.05, 0.3, 0.6, 0.95], method="lower")})
         for floor_level in floors + [-1.0]:
             expected = int((minima >= floor_level).sum())
-            got = _survivors(row, range(1, m + 1), 1, floor_level, count, _sheet_bounds(m))
-            assert got == expected, (m, floor_level)
-
-    def test_sheet_bounds_double_then_take_the_remainder(self):
-        assert _sheet_bounds(1) == (0, 1)
-        assert _sheet_bounds(16) == (0, 16)
-        assert _sheet_bounds(50) == (0, 16, 48, 50)
-        assert _sheet_bounds(300) == (0, 16, 48, 112, 240, 300)
+            assert _survivors(square, range(1, m + 1), 1, floor_level, count) == expected, (m, floor_level)
 
     @pytest.mark.parametrize(
         "args, kwargs, successes",
         [
-            ((32, 1.0, 30_000, 21), {}, 90),
-            ((300, 60.0, 8192, 9), {}, 147),
-            ((16, 1.0, 20_000, 5), {"mode": "zeta"}, 9101),
-            ((300, 60.0, 8192, 9), {"mode": "zeta", "p": 0.5}, 164),
+            pytest.param((32, 1.0, 30_000, 21), {}, 114, id="gaussian-m32"),
+            pytest.param((300, 60.0, 8192, 9), {}, 160, id="gaussian-m300"),
+            pytest.param((16, 1.0, 20_000, 5), {"mode": "zeta"}, 9112, id="zeta-m16"),
+            pytest.param((300, 60.0, 8192, 9), {"mode": "zeta", "p": 0.5}, 166, id="zeta-half-m300"),
         ],
     )
     def test_sheet_layout_pinned(self, args, kwargs, successes):
-        # gauss-v2 counts; m = 32 rows span two chunks, m = 300 rows end in
-        # the 60-column remainder chunk (0, 16, 48, 112, 240, 300)
+        # gauss-v3 counts: m = 300 squares grow to borders of 599 cells
         assert sheet_persistence(*args, **kwargs).successes == successes
 
     @pytest.mark.parametrize(
@@ -331,8 +323,8 @@ class TestSheet:
 
     @pytest.mark.parametrize("kwargs, seed", [({}, 3109), ({"mode": "zeta", "p": 0.5}, 3110)])
     def test_three_chunk_rows_match_materialized_sheets(self, kwargs, seed):
-        # m = 50 rows span the chunks [0, 16), [16, 48), [48, 50); compare
-        # with whole sheets built by sheet_grid from fresh streams
+        # the square scan at m = 50 (borders of up to 99 cells) against
+        # whole sheets built by sheet_grid from fresh streams
         m, threshold, grids = 50, 20.0, 8000
         r = sheet_persistence(m, threshold, 40_000, seed, **kwargs)
         # zeta thresholds scale by sqrt(2 p (1 - p)) = sqrt(1/2) at p = 1/2
