@@ -114,6 +114,19 @@ def _check_min(name: str, low: int, *values: int):
         raise ConfigError(f"{name} must be >= {low}, got {min(values)}")
 
 
+def _check_seed(name: str, seed: int):
+    # trial_stream keys Philox with the seed as one uint64 word
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"{name} must lie in [0, 2^64), got {seed}")
+
+
+def _check_distinct(name: str, values: list[int]):
+    # a repeated size would re-run the same trial streams as a second point
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ConfigError(f"{name}: size {repeated[0]} appears more than once")
+
+
 def _broadcast(values: list[int], count: int, name: str) -> list[int]:
     if len(values) == 1:
         return values * count
@@ -286,6 +299,7 @@ def _cmd_chainstat(args, argv):
         raise ConfigError(f"--x and --y must be <= --n {args.n}, got {max(xs + ys)}")
     _check_min("--trials", 1, args.trials)
     _check_min("workers", 1, args.workers)
+    _check_seed("--seed", args.seed)
     rows = []
     with shared_pool(args.workers):
         for x, y in zip(xs, ys):
@@ -315,6 +329,7 @@ def _cmd_chainstat(args, argv):
 def _cmd_hyper(args, argv):
     if not (0 <= args.A <= args.N and 0 <= args.B <= args.N):
         raise ConfigError(f"need 0 <= --A, --B <= --N, got N={args.N} B={args.B} A={args.A}")
+    _check_seed("--seed", args.seed)
     params = HyperGeomParams(args.N, args.B, args.A)
     payload: dict = {"N": args.N, "B": args.B, "A": args.A, "version": __version__}
     if args.k is not None:
@@ -400,8 +415,10 @@ def _cmd_mc(args, argv):
     ns = _int_list(args.n, "--n")
     trials = _broadcast(_int_list(args.trials, "--trials"), len(ns), "--trials")
     _check_min("--n", 1, *ns)
+    _check_distinct("--n", ns)
     _check_min("--trials", 1, *trials)
     _check_min("workers", 1, args.workers)
+    _check_seed("--seed", args.seed)
     _refuse_naive_mc(max(ns), args.force, "pass --force")
     results = _mc_grid(ns, trials, args.seed, args.workers)
     meta = {"seed": args.seed}
@@ -449,8 +466,10 @@ def _cmd_gauss(args, argv):
     grid = _int_list(args.grid, "--grid")
     trials = _broadcast(_int_list(args.trials, "--trials"), len(grid), "--trials")
     _check_min("--grid", 1, *grid)
+    _check_distinct("--grid", grid)
     _check_min("--trials", 1, *trials)
     _check_min("workers", 1, args.workers)
+    _check_seed("--seed", args.seed)
     if not (math.isfinite(args.threshold) and args.threshold >= 0):
         raise ConfigError(f"--threshold must be finite and >= 0, got {args.threshold}")
     if args.p is not None and args.mode != "zeta":
@@ -502,6 +521,7 @@ def _cmd_fkg(args, argv):
     if args.n > UPSET_CAP:
         raise ConfigError(f"--n {args.n} above the up-set cap {UPSET_CAP}")
     _check_min("--pairs", 1, args.pairs)
+    _check_seed("--seed", args.seed)
     stream = trial_stream(args.seed)
     lines = ["pair,p_a,p_b,p_both,product,holds"]
     worst = None
@@ -577,6 +597,7 @@ def _cmd_pipeline_scaling(args, argv):
     trials = _broadcast(_int_list(config["trials"], "trials"), len(grid), "trials")
     _check_min("trials", 1, *trials)
     seed = _one_int(config["seed"], "seed")
+    _check_seed("seed", seed)
     workers = _one_int(config["workers"], "workers")
     _check_min("workers", 1, workers)
     _refuse_naive_mc(max(grid), _one_bool(config["force"], "force"), "set force = true")

@@ -9,10 +9,14 @@ the border that grows the k-1 x k-1 square to k x k.  Pair rows come from a
 row-by-row Fisher-Yates shuffle over per-pair pools of unused values:
 comparability draws a row only for the pairs still alive, and box
 persistence draws its window's rows for every pair before its scan so that
-its floors stay coupled.  Sheet borders are drawn only for the trials
-still alive.  Each fixed-size block of trials draws from one counter-based
-stream keyed by (seed, block index), so results are bit-identical no
-matter how many workers execute the blocks.
+its floors stay coupled, then scans from the window's first row on.  Pair
+draws and pools use the draw dtype (int16, or int32 from n = 2^15), which
+is part of the stream layout; Z cells use a cell dtype that only needs to
+hold [-n, n] (int8 below n = 128), which changes no result.  Sheet borders
+are drawn only for the trials still alive.  Each fixed-size block of
+trials draws from one counter-based stream keyed by (seed, block index),
+so results are bit-identical no matter how many workers execute the
+blocks.
 """
 from __future__ import annotations
 
@@ -79,80 +83,100 @@ class EstimateResult:
         return self.successes < LOW_COUNT_THRESHOLD
 
 
-def _survivors(step, steps: range, first: int, floor_level: float, count: int) -> int:
+def _survivors(step, steps: range, floor_level: float, count: int, z: np.ndarray | None = None) -> int:
     """Number of a block's ``count`` trials whose field stays at or above
-    ``floor_level`` on every step a >= ``first`` of ``steps``.
+    ``floor_level`` on every step of ``steps``.
 
     ``z = step(a, idx, z)`` returns the cells that step a adds for the
     trials ``idx`` still alive, given the cells it returned for them at
-    step a - 1 (None at the first).  The scan drops the trials that fail
-    and stops when none is left.
+    step a - 1 (the ``z`` passed in at the first step).  The scan drops the
+    trials that fail and stops when none is left.
     """
     idx = np.arange(count)
-    z = None
     for a in steps:
         z = step(a, idx, z)
-        if a >= first:
-            keep = z.min(axis=1) >= floor_level
-            if not keep.all():
-                idx, z = idx[keep], z[keep]
-                if idx.size == 0:
-                    return 0
+        # a comparison and a boolean all(), and take() on the row numbers,
+        # run faster on short rows than min(axis=1) and a boolean mask
+        keep = (z >= floor_level).all(axis=1)
+        if not keep.all():
+            live = np.flatnonzero(keep)
+            idx, z = idx[live], z.take(live, axis=0)
+            if idx.size == 0:
+                return 0
     return idx.size
 
 
 def _pair_block(
-    lo: int, hi: int, seed: int, n: int, rows: range, first: int, cols: range, floor_level: float,
+    lo: int, hi: int, seed: int, n: int, last: int, first: int, cols: range, floor_level: float,
     upfront: bool = False,
 ) -> int:
     """Successes within one block of permutation pairs (p, t).
 
     Step a of the scan is row a of Z on the columns b in ``cols``: row a - 1
     plus the increment [b >= p(a)] - [b >= t(a)], whose entries already hold
-    their whole row prefix.
+    their whole row prefix.  The scan checks rows ``first``..``last``.
     The block's pairs come from trial_stream(seed, block) in sub-batches of
     at most _PAIR_DRAW // n pairs, drawn row by row by a Fisher-Yates
     shuffle (CSV schema mc-v3).  Each pair keeps two pools of unused values,
     one for p and one for t, both starting as 0..n-1.  Row a takes
     p(a) = pool[a - 1 + j] for an index j uniform on 0..n-a, then moves
     pool[a - 1] into the freed slot; t(a) likewise from its own pool.
-    Indices are drawn in the kernel dtype.
+    Indices and pools use the draw dtype (int16 below n = 2^15, else
+    int32), which is part of mc-v3.  Z cells use the narrowest signed dtype
+    that holds [-n, n]: int8 below n = 128, else the draw dtype.
 
     By default row a is drawn only for the k pairs still alive after row
     a - 1, by two calls integers(0, n - a + 1, size=k): the p indices, then
     the t indices.  A pair costs draws up to the row where it fails, and
     the stream depends on which pairs fail.  With ``upfront`` the indices
-    of every row in ``rows`` (1..R, not 1..n) are drawn for every pair of
-    the sub-batch in one call of shape (R, 2, count) before the scan (row
-    by row, p's then t's), so the pairs do not depend on the floor: box
-    persistence couples its floors this way, across sub-batches too.
+    of rows 1..``last`` are drawn for every pair of the sub-batch in one
+    call of shape (last, 2, count) before the scan (row by row, p's then
+    t's), so the pairs do not depend on the floor: box persistence couples
+    its floors this way, across sub-batches too.  Rows before ``first``
+    then only move pool entries, and Z(first - 1, .) on ``cols`` comes from
+    one count of the values they drew.
     """
     g = trial_stream(seed, lo // _MC_BLOCK)
     dtype = np.int16 if n < 2 ** 15 else np.int32
+    cell = np.int8 if n < 128 else dtype
     b = np.arange(cols.start - 1, cols.stop - 1, dtype=dtype)  # 0-based b - 1
     batch = max(1, _PAIR_DRAW // n)
     succ = 0
     for start in range(lo, hi, batch):
         count = min(batch, hi - start)
         pools = np.tile(np.arange(n, dtype=dtype), 2 * count)  # p's pools, then t's
-        heads = np.arange(2 * count).reshape(2, count) * n - 1
         if upfront:
-            highs = n + 1 - np.asarray(rows)[:, None, None]
-            drawn = g.integers(0, highs, size=(len(rows), 2, count), dtype=dtype)
+            highs = n - np.arange(last)[:, None, None]  # n + 1 - a for rows a = 1..last
+            drawn = g.integers(0, highs, size=(last, 2, count), dtype=dtype)
+
+        def draw(a, idx, jp, jt):
+            # p(a) - 1 and t(a) - 1 for the pairs idx, from pool indices jp, jt
+            hp = idx * n + (a - 1)  # flat position of p's pool[a - 1]
+            ht = hp + count * n
+            at_p, at_t = hp + jp, ht + jt
+            vp, vt = pools[at_p], pools[at_t]
+            pools[at_p], pools[at_t] = pools[hp], pools[ht]
+            return vp, vt
 
         def row(a, idx, z):
             if upfront:
-                j = drawn[a - rows.start][:, idx]
+                jp, jt = drawn[a - 1][:, idx]
             else:  # p's indices, then t's
-                j = np.stack([g.integers(0, n - a + 1, size=idx.size, dtype=dtype) for _ in range(2)])
-            head = heads[:, idx] + a  # flat positions of pool[a - 1]
-            at = head + j
-            v = pools[at]  # p(a) - 1 and t(a) - 1
-            pools[at] = pools[head]
-            inc = np.subtract(b >= v[0][:, None], b >= v[1][:, None], dtype=dtype)
+                jp = g.integers(0, n - a + 1, size=idx.size, dtype=dtype)
+                jt = g.integers(0, n - a + 1, size=idx.size, dtype=dtype)
+            vp, vt = draw(a, idx, jp, jt)
+            inc = np.subtract(b >= vp[:, None], b >= vt[:, None], dtype=cell)
             return inc if z is None else np.add(inc, z, out=inc)
 
-        succ += _survivors(row, rows, first, floor_level, count)
+        z = None
+        if first > 1:  # Z(first - 1, b) = #{p(i) <= b} - #{t(i) <= b} over i < first
+            every = np.arange(count)
+            done = np.array([draw(a, every, *drawn[a - 1]) for a in range(1, first)])
+            keys = done + every * n  # (first - 1, 2, count): each pair's values in its own n bins
+            counts = np.bincount(keys[:, 0].ravel(), minlength=count * n)
+            counts -= np.bincount(keys[:, 1].ravel(), minlength=count * n)
+            z = counts.reshape(count, n).cumsum(axis=1)[:, cols.start - 1 : cols.stop - 1].astype(cell)
+        succ += _survivors(row, range(first, last + 1), floor_level, count, z)
     return succ
 
 
@@ -166,7 +190,7 @@ def estimate_comparability(n: int, trials: int, seed: int, workers: int = 1) -> 
         raise ValueError(f"need n >= 1 and trials >= 1, got n={n} trials={trials}")
     start = time.perf_counter()
     fn = partial(
-        _pair_block, seed=seed, n=n, rows=range(1, n + 1), first=1, cols=range(1, n + 1),
+        _pair_block, seed=seed, n=n, last=n, first=1, cols=range(1, n + 1),
         floor_level=0,
     )
     succ = sum(run_blocks(trials, _MC_BLOCK, fn, workers))
@@ -184,7 +208,7 @@ def estimate_box_persistence(
         raise ValueError(f"need c_log >= 0 and trials >= 1, got {c_log}, {trials}")
     start = time.perf_counter()
     fn = partial(
-        _pair_block, seed=seed, n=n, rows=range(1, min((5 * x) // 4, n) + 1), first=x,
+        _pair_block, seed=seed, n=n, last=min((5 * x) // 4, n), first=x,
         cols=range(y, min((5 * y) // 4, n) + 1), floor_level=-c_log * math.log(n), upfront=True,
     )
     succ = sum(run_blocks(trials, _MC_BLOCK, fn, workers))
@@ -246,7 +270,7 @@ def _sheet_block(lo: int, hi: int, seed: int, m: int, floor_level: float, q: flo
     def square(k, idx, z):
         return _square_border(_sheet_increments(g, (idx.size, 2 * k - 1), q), k, z)
 
-    return _survivors(square, range(1, m + 1), 1, floor_level, hi - lo)
+    return _survivors(square, range(1, m + 1), floor_level, hi - lo)
 
 
 def sheet_persistence(

@@ -24,10 +24,13 @@ def trial_stream(seed: int, trial: int = 0) -> np.random.Generator:
 
     Built on the counter-based Philox generator keyed by the two integers, so
     streams for distinct trials are independent and trial ``t`` yields the
-    same draws no matter how trials are scheduled across workers.
+    same draws no matter how trials are scheduled across workers.  Both must
+    lie in [0, 2^64); the key is built as exact uint64 words, so no two
+    (seed, trial) pairs share a stream.
     """
-    key = [seed & _MASK64, trial & _MASK64]
-    return np.random.Generator(np.random.Philox(key=key))
+    if not (0 <= seed <= _MASK64 and 0 <= trial <= _MASK64):
+        raise ValueError(f"seed and trial must lie in [0, 2^64), got seed={seed} trial={trial}")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
 
 
 @dataclasses.dataclass(frozen=True)

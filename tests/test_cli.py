@@ -308,7 +308,7 @@ class TestGauss:
         assert len(lines) == 5
         assert "psi_hat" in err
 
-    def test_chunked_rows_are_worker_invariant(self, tmp_path):
+    def test_square_scan_is_worker_invariant(self, tmp_path):
         # gauss-v3: each block draws its squares' borders only for its trials
         # still alive, so its draws must not depend on the worker count
         outputs = []
@@ -497,6 +497,50 @@ def test_misuse_is_one_line_config_error(capsys, argv):
     assert out == "" and err.count("\n") == 1 and err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc", "--n", "4", "--trials", "100"],
+        ["gauss", "--grid", "8", "--threshold", "1", "--trials", "100"],
+        ["chainstat", "--n", "64", "--x", "8", "--y", "8", "--trials", "10"],
+        ["hyper", "--N", "5", "--A", "2", "--B", "2", "--sample", "10"],
+        ["fkg", "--n", "3"],
+        ["pipeline-scaling", "--n-grid", "4,6,8,12", "--trials", "100"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_seed_outside_64_bits_is_config_error(capsys, tmp_path, argv, seed):
+    # -1 and 2^64 once drew seed 0's stream and exited 0
+    out_dir = tmp_path / "run"
+    extra = ["--out-dir", str(out_dir)] if argv[0] == "pipeline-scaling" else []
+    code, out, err = run(capsys, *argv, f"--seed={seed}", *extra)
+    assert code == EXIT_CONFIG
+    assert out == "" and err.count("\n") == 1 and err.startswith("config error: ")
+    assert err.endswith(f"seed must lie in [0, 2^64), got {seed}\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mc", "--n", "4,4", "--trials", "100,200", "--seed", "1"], "size 4 appears more than once"),
+        (["gauss", "--grid", "8,16,8", "--threshold", "1", "--trials", "100", "--seed", "1"],
+         "size 8 appears more than once"),
+        (["pipeline-scaling", "--n-grid", "4,4", "--trials", "100", "--seed", "1"], "strictly increasing"),
+    ],
+    ids=["mc", "gauss", "pipeline-scaling"],
+)
+def test_repeated_size_is_config_error(capsys, tmp_path, argv, message):
+    # a repeated size re-runs the same trial streams, so it is no second point
+    out_dir = tmp_path / "run"
+    extra = ["--out-dir", str(out_dir)] if argv[0] == "pipeline-scaling" else []
+    code, out, err = run(capsys, *argv, *extra)
+    assert code == EXIT_CONFIG
+    assert out == "" and err.count("\n") == 1 and message in err
+    assert not out_dir.exists()
+
+
 def test_value_error_inside_a_command_propagates(monkeypatch):
     # an internal fault must not be reported as a user's config error
     def broken(n):
@@ -540,6 +584,15 @@ class TestPipelineScaling:
         )
         assert code == EXIT_CONFIG
         assert "strictly increasing" in err
+
+    def test_config_seed_outside_64_bits_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        out_dir = tmp_path / "run"
+        cfg.write_text(f"n_grid = 4,6,8,12\ntrials = 100\nseed = -1\nout_dir = {out_dir}\n")
+        code, out, err = run(capsys, "pipeline-scaling", "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        assert out == "" and err == "config error: seed must lie in [0, 2^64), got -1\n"
+        assert not out_dir.exists()
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "sweep.cfg"

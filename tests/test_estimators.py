@@ -100,9 +100,10 @@ def as_perm(values):
 
 
 class TestSurvivalKernel:
-    @pytest.mark.parametrize("n", [1, 2, 5, 12, 100])
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 100, 127, 128])
     def test_comparability_matches_strong_order_oracle(self, n):
-        # n = 100 spans two sub-batches: 2621 pairs, then 379
+        # n = 100 spans two sub-batches: 2621 pairs, then 379; Z cells are
+        # int8 up to n = 127 and int16 from n = 128
         count, seed = 3000, 123
         pairs = drawn_pairs(n, count, seed)
         for p, t, rows, alive in pairs:
@@ -116,8 +117,10 @@ class TestSurvivalKernel:
         assert estimate_comparability(n, count, seed).successes == sum(alive for *_, alive in pairs)
 
     def test_box_window_matches_z_table_oracle(self):
-        # n = 200 spans two sub-batches: 1310 pairs, then 90
-        for n, x, y, c_log, count, seed in [(40, 10, 12, 0.5, 2000, 77), (200, 40, 50, 0.5, 1400, 78)]:
+        # n = 200 spans two sub-batches: 1310 pairs, then 90; n = 127 is the
+        # largest size with int8 Z cells, here under a negative floor
+        cases = [(40, 10, 12, 0.5, 2000, 77), (200, 40, 50, 0.5, 1400, 78), (127, 30, 40, 0.5, 2000, 79)]
+        for n, x, y, c_log, count, seed in cases:
             floor_level = -c_log * math.log(n)
             expected = sum(
                 int(z_table(as_perm(p), as_perm(t)).z[x : 5 * x // 4 + 1, y : 5 * y // 4 + 1].min()) >= floor_level
@@ -142,7 +145,7 @@ class TestSurvivalKernel:
         floors = sorted({float(f) for f in np.quantile(minima, [0.05, 0.3, 0.6, 0.95], method="lower")})
         for floor_level in floors + [-1.0]:
             expected = int((minima >= floor_level).sum())
-            assert _survivors(square, range(1, m + 1), 1, floor_level, count) == expected, (m, floor_level)
+            assert _survivors(square, range(1, m + 1), floor_level, count) == expected, (m, floor_level)
 
     @pytest.mark.parametrize(
         "args, kwargs, successes",
@@ -322,7 +325,7 @@ class TestSheet:
         assert abs(r.p_hat - exact) <= 5 * math.sqrt(exact * (1 - exact) / r.trials)
 
     @pytest.mark.parametrize("kwargs, seed", [({}, 3109), ({"mode": "zeta", "p": 0.5}, 3110)])
-    def test_three_chunk_rows_match_materialized_sheets(self, kwargs, seed):
+    def test_square_scan_matches_materialized_sheets(self, kwargs, seed):
         # the square scan at m = 50 (borders of up to 99 cells) against
         # whole sheets built by sheet_grid from fresh streams
         m, threshold, grids = 50, 20.0, 8000

@@ -73,6 +73,36 @@ class TestSampling:
             assert abs(c / samples - 1 / 6) < 4 * se, (w, c / samples)
 
 
+class TestTrialStream:
+    @staticmethod
+    def draws(seed, trial=0):
+        return trial_stream(seed, trial).integers(0, 2**32, size=3).tolist()
+
+    @pytest.mark.parametrize(
+        "seed, trial, expected",
+        [
+            (0, 0, [149215387, 49592932, 2628306354]),
+            (20261017, 5, [1010042568, 7928791, 692053260]),
+            (2**63 - 1, 2**63 - 1, [55308712, 236915710, 551247929]),
+        ],
+    )
+    def test_seeds_below_2_63_keep_their_streams(self, seed, trial, expected):
+        assert self.draws(seed, trial) == expected
+
+    @pytest.mark.filterwarnings("error")
+    def test_seeds_from_2_63_do_not_alias(self):
+        # a key built through float64 gave 2^63 and 2^63 + 1 one stream, and
+        # 2^64 - 1 the stream of seed 0
+        assert self.draws(2**63) != self.draws(2**63 + 1)
+        assert self.draws(2**64 - 1) != self.draws(0)
+        assert self.draws(0, 2**63) != self.draws(0, 2**63 + 1)
+
+    @pytest.mark.parametrize("seed, trial", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+    def test_outside_64_bits_rejected(self, seed, trial):
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            trial_stream(seed, trial)
+
+
 class TestDominanceTable:
     def test_identity_is_min(self):
         table = dominance_table(Permutation.identity(3))
