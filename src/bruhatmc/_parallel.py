@@ -3,18 +3,25 @@
 Trials are partitioned into fixed-size blocks; a block's partial result is a
 pure function of (seed, block range), so distributing blocks over any number
 of worker processes and merging partials in block order reproduces the
-single-worker output bit for bit.
+single-worker output bit for bit.  A pool never starts more processes than
+the machine has CPUs, whatever worker count it is asked for.
 """
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterator
 
 # (workers, executor) of the active shared_pool, if any
 _shared: contextvars.ContextVar[tuple[int, ProcessPoolExecutor] | None]
 _shared = contextvars.ContextVar("bruhatmc_shared_pool", default=None)
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    # a fork-context pool forks all its processes at the first submit
+    return ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1))
 
 
 def block_ranges(total: int, block_size: int) -> list[tuple[int, int]]:
@@ -31,7 +38,7 @@ def shared_pool(workers: int) -> Iterator[None]:
     if workers <= 1 or _shared.get() is not None:
         yield
         return
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+    with _pool(workers) as ex:
         token = _shared.set((workers, ex))
         try:
             yield
@@ -52,6 +59,6 @@ def run_blocks(total: int, block_size: int, fn: Callable, workers: int = 1) -> l
     shared = _shared.get()
     if shared is not None and shared[0] == workers:
         return list(shared[1].map(fn, *zip(*ranges)))
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+    with _pool(workers) as ex:
         return list(ex.map(fn, *zip(*ranges)))
 

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 invariant violation,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import datetime
 import hashlib
@@ -139,13 +140,27 @@ def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+@contextlib.contextmanager
+def _writing(path: Path):
+    """Report an OSError raised inside the block as a config error on ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _write_text(path: Path, text: str):
+    with _writing(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+
+
 def _emit(text: str, out: str | None) -> list[Path]:
     if out is None:
         sys.stdout.write(text)
         return []
     path = Path(out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    _write_text(path, text)
     return [path]
 
 
@@ -177,8 +192,7 @@ def _write_manifest(outputs: list[Path], argv: list[str], params: dict, started:
             str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs
         },
     }
-    path = outputs[0].with_name(outputs[0].name + ".manifest.json")
-    path.write_text(_json_text(manifest))
+    _write_text(outputs[0].with_name(outputs[0].name + ".manifest.json"), _json_text(manifest))
 
 
 def rerun_manifest(path: str | Path) -> int:
@@ -603,12 +617,13 @@ def _cmd_pipeline_scaling(args, argv):
     _refuse_naive_mc(max(grid), _one_bool(config["force"], "force"), "set force = true")
 
     out_dir = Path(config["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     results = _mc_grid(grid, trials, seed, workers)
     csv_path = out_dir / "results.csv"
-    csv_path.write_text(_csv_text(MC_SCHEMA, {"seed": seed}, MC_COLUMNS, _estimate_rows(results)))
+    _write_text(csv_path, _csv_text(MC_SCHEMA, {"seed": seed}, MC_COLUMNS, _estimate_rows(results)))
     fit_path = out_dir / "fit.json"
-    fit_path.write_text(_json_text(_fit_payload(results, False, "scaling fit")))
+    _write_text(fit_path, _json_text(_fit_payload(results, False, "scaling fit")))
     _write_manifest([csv_path, fit_path], argv, {"command": "pipeline-scaling", **config}, started)
     return EXIT_OK
 

@@ -4,19 +4,22 @@ Comparability, box persistence and sheet persistence each ask whether a
 prefix-sum field stays at or above a floor; all three run on one batched
 kernel, _survivors, a loop of steps that each extend the field by a few
 cells for the trials still alive and drop a trial at the first step where
-it fails.  For a permutation pair a step is one row of Z; for a sheet it is
-the border that grows the k-1 x k-1 square to k x k.  Pair rows come from a
-row-by-row Fisher-Yates shuffle over per-pair pools of unused values:
-comparability draws a row only for the pairs still alive, and box
-persistence draws its window's rows for every pair before its scan so that
-its floors stay coupled, then scans from the window's first row on.  Pair
-draws and pools use the draw dtype (int16, or int32 from n = 2^15), which
-is part of the stream layout; Z cells use a cell dtype that only needs to
-hold [-n, n] (int8 below n = 128), which changes no result.  Sheet borders
-are drawn only for the trials still alive.  Each fixed-size block of
+it fails.  The kernel holds its cells cells-major: cells on axis 0, trials
+on axis 1, so the floor check, the compaction and the prefix sums work on
+whole rows of trials.  For a permutation pair a step is one row of Z; for
+a sheet it is the border that grows the k-1 x k-1 square to k x k.  Pair
+rows come from a row-by-row Fisher-Yates shuffle over per-pair pools of
+unused values: comparability draws a row only for the pairs still alive,
+and box persistence draws its window's rows for every pair before its scan
+so that its floors stay coupled, then scans from the window's first row
+on.  Pair draws and pools use the draw dtype (int16, or int32 from
+n = 2^15), which is part of the stream layout; Z cells use a cell dtype
+that only needs to hold [-n, n] (int8 below n = 128), which changes no
+result.  Sheet borders are drawn only for the trials still alive, and one
+sheet scan carries up to four blocks at once.  Each fixed-size block of
 trials draws from one counter-based stream keyed by (seed, block index),
 so results are bit-identical no matter how many workers execute the
-blocks.
+blocks or how a sheet scan groups them.
 """
 from __future__ import annotations
 
@@ -35,6 +38,7 @@ from .perms import trial_stream
 _Z95 = 1.959963984540054  # normal 97.5% quantile for Wilson intervals
 _MC_BLOCK = 4096  # trials per merge block (comparability / box persistence)
 _SHEET_BLOCK = 8192  # trials per sheet block; each block owns one stream
+_SHEET_TASK_BLOCKS = 4  # most sheet blocks one scan carries (bounds its memory)
 _PAIR_DRAW = 1 << 18  # entries per Fisher-Yates pool array (sub-batch cap)
 LOW_COUNT_THRESHOLD = 20
 
@@ -88,19 +92,18 @@ def _survivors(step, steps: range, floor_level: float, count: int, z: np.ndarray
     ``floor_level`` on every step of ``steps``.
 
     ``z = step(a, idx, z)`` returns the cells that step a adds for the
-    trials ``idx`` still alive, given the cells it returned for them at
-    step a - 1 (the ``z`` passed in at the first step).  The scan drops the
-    trials that fail and stops when none is left.
+    trials ``idx`` still alive, cells-major: one row per cell, one column
+    per trial, given the cells it returned for them at step a - 1 (the
+    ``z`` passed in at the first step).  The scan drops the trials that
+    fail and stops when none is left.
     """
     idx = np.arange(count)
     for a in steps:
         z = step(a, idx, z)
-        # a comparison and a boolean all(), and take() on the row numbers,
-        # run faster on short rows than min(axis=1) and a boolean mask
-        keep = (z >= floor_level).all(axis=1)
+        keep = (z >= floor_level).all(axis=0)
         if not keep.all():
             live = np.flatnonzero(keep)
-            idx, z = idx[live], z.take(live, axis=0)
+            idx, z = idx[live], z.take(live, axis=1)
             if idx.size == 0:
                 return 0
     return idx.size
@@ -123,7 +126,8 @@ def _pair_block(
     pool[a - 1] into the freed slot; t(a) likewise from its own pool.
     Indices and pools use the draw dtype (int16 below n = 2^15, else
     int32), which is part of mc-v3.  Z cells use the narrowest signed dtype
-    that holds [-n, n]: int8 below n = 128, else the draw dtype.
+    that holds [-n, n]: int8 below n = 128, else the draw dtype; a row of
+    Z is a (len(cols), alive) array, one column per pair.
 
     By default row a is drawn only for the k pairs still alive after row
     a - 1, by two calls integers(0, n - a + 1, size=k): the p indices, then
@@ -139,7 +143,7 @@ def _pair_block(
     g = trial_stream(seed, lo // _MC_BLOCK)
     dtype = np.int16 if n < 2 ** 15 else np.int32
     cell = np.int8 if n < 128 else dtype
-    b = np.arange(cols.start - 1, cols.stop - 1, dtype=dtype)  # 0-based b - 1
+    b = np.arange(cols.start - 1, cols.stop - 1, dtype=dtype)[:, None]  # 0-based b - 1, a column
     batch = max(1, _PAIR_DRAW // n)
     succ = 0
     for start in range(lo, hi, batch):
@@ -165,7 +169,7 @@ def _pair_block(
                 jp = g.integers(0, n - a + 1, size=idx.size, dtype=dtype)
                 jt = g.integers(0, n - a + 1, size=idx.size, dtype=dtype)
             vp, vt = draw(a, idx, jp, jt)
-            inc = np.subtract(b >= vp[:, None], b >= vt[:, None], dtype=cell)
+            inc = np.subtract(b >= vp, b >= vt, dtype=cell)
             return inc if z is None else np.add(inc, z, out=inc)
 
         z = None
@@ -175,7 +179,8 @@ def _pair_block(
             keys = done + every * n  # (first - 1, 2, count): each pair's values in its own n bins
             counts = np.bincount(keys[:, 0].ravel(), minlength=count * n)
             counts -= np.bincount(keys[:, 1].ravel(), minlength=count * n)
-            z = counts.reshape(count, n).cumsum(axis=1)[:, cols.start - 1 : cols.stop - 1].astype(cell)
+            z = counts.reshape(count, n).cumsum(axis=1)[:, cols.start - 1 : cols.stop - 1]
+            z = z.T.astype(cell, order="C")  # cells-major, like the rows
         succ += _survivors(row, range(first, last + 1), floor_level, count, z)
     return succ
 
@@ -243,32 +248,61 @@ def _sheet_increments(g: np.random.Generator, shape, q: float | None) -> np.ndar
 def _square_border(border: np.ndarray, k: int, z: np.ndarray | None) -> np.ndarray:
     """Turn, in place, the increments of row k on columns 1..k, then of
     column k on rows 1..k-1, into the border [Z(k, 1..k) | Z(1..k-1, k)],
-    given the previous border ``z`` (None at k = 1)."""
-    row, col = border[:, :k], border[:, k:]
-    np.cumsum(row, axis=1, out=row)
-    np.cumsum(col, axis=1, out=col)
+    given the previous border ``z`` (None at k = 1).
+
+    Borders are cells-major: ``border`` has shape (2k - 1, alive).  Each
+    half's prefix sums run in cell order, one left-to-right add at a time,
+    by one of two paths that give the same floats: with many trials per
+    cell (alive > 16k), one np.add of two whole rows per cell; otherwise
+    one cumsum per half along each trial's cells, whose inner loop runs
+    once per trial and then costs less than 2k calls.
+    """
+    if border.shape[1] > 16 * k:
+        for j in range(1, 2 * k - 1):
+            if j != k:  # row k 1..k and column k 1..k-1 sum separately
+                np.add(border[j - 1], border[j], out=border[j])
+    else:
+        trials = border.T
+        np.cumsum(trials[:, :k], axis=1, out=trials[:, :k])
+        np.cumsum(trials[:, k:], axis=1, out=trials[:, k:])
     if z is not None:
-        row[:, :-1] += z[:, : k - 1]
-        col[:, :-1] += z[:, k - 1 :]
-        col[:, -1] += z[:, k - 2]  # the old corner Z(k-1, k-1)
-        row[:, -1] += col[:, -1]  # Z(k-1, k)
+        border[: k - 1] += z[: k - 1]
+        border[k:-1] += z[k - 1 :]
+        border[-1] += z[k - 2]  # the old corner Z(k-1, k-1)
+        border[k - 1] += border[-1]  # Z(k-1, k)
     return border
 
 
 def _sheet_block(lo: int, hi: int, seed: int, m: int, floor_level: float, q: float | None) -> int:
-    """Successes within one block; all randomness from the block's stream.
+    """Successes among trials lo..hi-1, which may span several blocks.
 
     The sheet is scanned as a growing square: step k extends the
     (k-1) x (k-1) square to k x k, so a trial dies at the first square whose
-    new border drops below the floor.  Step k draws, only for the trials
-    still alive, one array of shape (alive, 2k - 1) in _square_border's
-    layout (CSV schema gauss-v3), so the draw order depends on the block's
-    own trials, not on the worker count.
+    new border drops below the floor.  Step k draws, for each block from
+    its own trial_stream(seed, block) and only for its trials still alive,
+    the values of one C-order array of shape (alive, 2k - 1) in
+    _square_border's layout (CSV schema gauss-v3), and writes them
+    transposed into the block's columns of the cells-major border.  The
+    draw is split into runs of whole trials; a stream yields the same
+    values however a draw is split.  A block's draws depend only on its own
+    trials, so the count is the same for any grouping of blocks into scans
+    and any worker count.  ``lo`` must start a block.
     """
-    g = trial_stream(seed, lo // _SHEET_BLOCK)
+    starts = range(lo, hi, _SHEET_BLOCK)
+    streams = [trial_stream(seed, start // _SHEET_BLOCK) for start in starts]
+    bounds = [start - lo for start in starts] + [hi - lo]
 
     def square(k, idx, z):
-        return _square_border(_sheet_increments(g, (idx.size, 2 * k - 1), q), k, z)
+        border = np.empty((2 * k - 1, idx.size))
+        cuts = np.searchsorted(idx, bounds).tolist()
+        # a block's (alive, 2k - 1) draw comes in runs of whole trials,
+        # each about 2^16 cells (512 KB), so its transposed copy stays in cache
+        run = max(1, (1 << 16) // (2 * k - 1))
+        for g, s, e in zip(streams, cuts, cuts[1:]):
+            for i in range(s, e, run):
+                j = min(i + run, e)
+                border[:, i:j] = _sheet_increments(g, (j - i, 2 * k - 1), q).T
+        return _square_border(border, k, z)
 
     return _survivors(square, range(1, m + 1), floor_level, hi - lo)
 
@@ -298,7 +332,10 @@ def sheet_persistence(
     floor_level = -threshold if q is None else -threshold * math.sqrt(2.0 * q)
     start = time.perf_counter()
     fn = partial(_sheet_block, seed=seed, m=m, floor_level=floor_level, q=q)
-    succ = sum(run_blocks(trials, _SHEET_BLOCK, fn, workers))
+    # a scan carries up to _SHEET_TASK_BLOCKS blocks, fewer if that would idle a worker
+    blocks = -(-trials // _SHEET_BLOCK)
+    task_blocks = min(_SHEET_TASK_BLOCKS, -(-blocks // max(1, workers)))
+    succ = sum(run_blocks(trials, _SHEET_BLOCK * task_blocks, fn, workers))
     return EstimateResult.from_counts(m, trials, succ, seed, time.perf_counter() - start)
 
 

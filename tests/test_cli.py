@@ -541,6 +541,30 @@ def test_repeated_size_is_config_error(capsys, tmp_path, argv, message):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["mc", "--n", "4", "--trials", "100", "--seed", "1", "--out", "{dir}"], "Is a directory"),
+        (["gauss", "--grid", "8", "--threshold", "1", "--trials", "10", "--seed", "1", "--out", "{file}/x.csv"],
+         "File exists"),
+        (["pipeline-scaling", "--n-grid", "4,6,8,12", "--trials", "100", "--seed", "1", "--out-dir", "{file}"],
+         "File exists"),
+    ],
+    ids=["mc-out-directory", "gauss-out-under-file", "pipeline-out-dir-file"],
+)
+def test_unwritable_output_is_one_line_config_error(capsys, tmp_path, argv, reason):
+    # each of these once ended in an OSError traceback and exit code 1
+    paths = {"dir": tmp_path / "existing", "file": tmp_path / "existing.txt"}
+    paths["dir"].mkdir()
+    paths["file"].write_text("keep\n")
+    argv = [arg.format(**paths) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == "" and "Traceback" not in err and err.count("config error") == 1
+    assert err.splitlines()[-1] == f"config error: cannot write {argv[-1]}: {reason}"
+    assert paths["file"].read_text() == "keep\n" and list(paths["dir"].iterdir()) == []
+
+
 def test_value_error_inside_a_command_propagates(monkeypatch):
     # an internal fault must not be reported as a user's config error
     def broken(n):

@@ -130,7 +130,7 @@ class TestSurvivalKernel:
             assert estimate_box_persistence(n, x, y, c_log, count, seed).successes == expected
 
     @pytest.mark.parametrize("m", [1, 2, 3, 15, 16, 17, 48, 49, 64, 112, 113])
-    def test_chunked_rows_match_brute_force_minimum(self, m):
+    def test_square_scan_matches_brute_force_minimum(self, m):
         # the square scan against the brute-force minimum; integer increments
         # keep every sum exact, so ties at the floor count
         count = min(3000, 5_000_000 // (m * m))  # field and its sums stay under 100 MB
@@ -138,14 +138,34 @@ class TestSurvivalKernel:
         minima = np.cumsum(np.cumsum(field, axis=1), axis=2).min(axis=(1, 2))
 
         def square(k, idx, z):
-            # row k on columns 1..k, then column k on rows 1..k-1
+            # row k on columns 1..k, then column k on rows 1..k-1, cells-major
             drawn = np.concatenate([field[idx, k - 1, :k], field[idx, : k - 1, k - 1]], axis=1)
-            return _square_border(drawn, k, z)
+            return _square_border(drawn.T, k, z)
 
         floors = sorted({float(f) for f in np.quantile(minima, [0.05, 0.3, 0.6, 0.95], method="lower")})
         for floor_level in floors + [-1.0]:
             expected = int((minima >= floor_level).sum())
             assert _survivors(square, range(1, m + 1), floor_level, count) == expected, (m, floor_level)
+
+    @pytest.mark.parametrize("k, count", [(3, 4000), (40, 50), (40, 700), (1, 10), (2, 5)])
+    def test_square_border_sums_floats_in_row_order(self, k, count):
+        # normal increments make the sum order visible; (3, 4000) and
+        # (40, 700) add whole rows (alive > 16k), the others run cumsum
+        g = trial_stream(707, k)
+        prev = g.standard_normal((count, 2 * k - 3)) if k > 1 else None
+        drawn = g.standard_normal((count, 2 * k - 1))
+        # the row-major formula: cumsum along each half, then four adds
+        row, col = np.cumsum(drawn[:, :k], axis=1), np.cumsum(drawn[:, k:], axis=1)
+        if prev is not None:
+            row[:, :-1] += prev[:, : k - 1]
+            col[:, :-1] += prev[:, k - 1 :]
+            col[:, -1] += prev[:, k - 2]
+            row[:, -1] += col[:, -1]
+        expected = np.concatenate([row, col], axis=1)
+        z = None if prev is None else np.ascontiguousarray(prev.T)
+        got = _square_border(np.ascontiguousarray(drawn.T), k, z)
+        assert got.shape == (2 * k - 1, count)
+        assert np.array_equal(got.T, expected)
 
     @pytest.mark.parametrize(
         "args, kwargs, successes",
@@ -345,9 +365,13 @@ class TestSheet:
             sheet_persistence(8, threshold, 100, 0)
 
     def test_worker_invariance(self):
-        a = sheet_persistence(32, 1.0, 30_000, 21, workers=1)
-        b = sheet_persistence(32, 1.0, 30_000, 21, workers=2)
-        assert (a.successes, a.p_hat) == (b.successes, b.p_hat)
+        # 6 x 8192 + 17 trials are 7 blocks, scanned as [4, 3], [4, 3],
+        # [3, 3, 1] and [2, 2, 2, 1] blocks at 1, 2, 3 and 4 workers
+        for m, trials in [(32, 30_000), (12, 6 * 8192 + 17)]:
+            a = sheet_persistence(m, 1.0, trials, 21, workers=1)
+            for workers in (2, 3, 4):
+                b = sheet_persistence(m, 1.0, trials, 21, workers=workers)
+                assert (a.successes, a.p_hat) == (b.successes, b.p_hat), (m, workers)
 
     def test_zeta_mode_parameters(self):
         with pytest.raises(ValueError, match="p in"):

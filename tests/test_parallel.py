@@ -6,7 +6,7 @@ import pytest
 from bruhatmc import _parallel
 from bruhatmc._parallel import run_blocks, shared_pool
 from bruhatmc.cli import EXIT_OK, main
-from bruhatmc.estimators import estimate_comparability
+from bruhatmc.estimators import estimate_comparability, sheet_persistence
 from bruhatmc.zprocess import max_rect_stat
 
 
@@ -16,6 +16,52 @@ def _span(lo, hi):
 
 def _pid(lo, hi):
     return os.getpid()
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool by an in-process one that records the
+    max_workers it was asked for, so no test forks a large pool."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_pool_starts_at_most_cpu_count_processes(pool_sizes, monkeypatch):
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 3)
+    assert run_blocks(10, 3, _span, workers=5000) == [(0, 3), (3, 6), (6, 9), (9, 10)]
+    with shared_pool(10**20):
+        assert run_blocks(4, 2, _span, workers=10**20) == [(0, 2), (2, 4)]
+    assert run_blocks(4, 2, _span, workers=2) == [(0, 2), (2, 4)]
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: None)  # unknown: one process
+    assert run_blocks(4, 2, _span, workers=8) == [(0, 2), (2, 4)]
+    assert pool_sizes == [3, 3, 2, 1]
+
+
+def test_huge_worker_count_runs_on_cpu_count_processes(pool_sizes, capsys):
+    # --workers 10^20 once overflowed a semaphore before any process started
+    argv = ["gauss", "--grid", "8", "--threshold", "1", "--trials", "10", "--seed", "1"]
+    assert main(argv) == EXIT_OK
+    serial = capsys.readouterr().out
+    assert main(argv + ["--workers", str(10**20)]) == EXIT_OK
+    assert capsys.readouterr().out == serial
+    assert pool_sizes == [os.cpu_count() or 1]
+    huge = sheet_persistence(8, 1.0, 40_000, 1, workers=10**20)
+    assert huge.successes == sheet_persistence(8, 1.0, 40_000, 1).successes
 
 
 def test_shared_pool_leaves_counts_unchanged():
