@@ -4,15 +4,18 @@ Trials are partitioned into fixed-size blocks; a block's partial result is a
 pure function of (seed, block range), so distributing blocks over any number
 of worker processes and merging partials in block order reproduces the
 single-worker output bit for bit.  A pool never starts more processes than
-the machine has CPUs, whatever worker count it is asked for.
+the machine has CPUs, whatever worker count it is asked for, and its workers
+fork with numpy.random already loaded.
 """
 from __future__ import annotations
 
 import contextlib
 import contextvars
 import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 # (workers, executor) of the active shared_pool, if any
 _shared: contextvars.ContextVar[tuple[int, ProcessPoolExecutor] | None]
@@ -20,7 +23,13 @@ _shared = contextvars.ContextVar("bruhatmc_shared_pool", default=None)
 
 
 def _pool(workers: int) -> ProcessPoolExecutor:
-    # a fork-context pool forks all its processes at the first submit
+    # numpy imports numpy.random on first use; loading it here, before a
+    # fork-context pool forks all its processes at the first submit, saves
+    # each worker of each pool that import.  Both imports wait until a pool
+    # is needed, so commands that start none skip them.
+    import numpy.random  # noqa: F401
+    from concurrent.futures import ProcessPoolExecutor
+
     return ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1))
 
 

@@ -155,6 +155,20 @@ def _write_text(path: Path, text: str):
         path.write_text(text)
 
 
+def _check_writable(out: str | None):
+    """Fail before a long estimate, not after it, when --out cannot be
+    written; a file this creates is removed again."""
+    if out is None:
+        return
+    path = Path(out)
+    with _writing(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        existed = path.exists()
+        path.open("a").close()
+        if not existed:
+            path.unlink()
+
+
 def _emit(text: str, out: str | None) -> list[Path]:
     if out is None:
         sys.stdout.write(text)
@@ -314,6 +328,7 @@ def _cmd_chainstat(args, argv):
     _check_min("--trials", 1, args.trials)
     _check_min("workers", 1, args.workers)
     _check_seed("--seed", args.seed)
+    _check_writable(args.out)
     rows = []
     with shared_pool(args.workers):
         for x, y in zip(xs, ys):
@@ -434,6 +449,7 @@ def _cmd_mc(args, argv):
     _check_min("workers", 1, args.workers)
     _check_seed("--seed", args.seed)
     _refuse_naive_mc(max(ns), args.force, "pass --force")
+    _check_writable(args.out)
     results = _mc_grid(ns, trials, args.seed, args.workers)
     meta = {"seed": args.seed}
     outputs = _emit(_csv_text(MC_SCHEMA, meta, MC_COLUMNS, _estimate_rows(results)), args.out)
@@ -492,6 +508,7 @@ def _cmd_gauss(args, argv):
         raise ConfigError(f"--p must be in (0, 1/2], got {args.p}")
     if args.mode == "zeta" and args.p is None:
         _check_min("--grid with the default p = 1/m^2", 2, *grid)
+    _check_writable(args.out)
     results = _estimate_grid(
         "gauss", "m", grid, trials, args.workers,
         lambda m, t: sheet_persistence(

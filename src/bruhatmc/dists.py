@@ -12,7 +12,6 @@ import math
 import warnings
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .zprocess import Rectangle
@@ -95,6 +94,8 @@ def hypergeom_pmf(params: HyperGeomParams, k: int) -> float:
         return 0.0
     if params.N <= _EXACT_PMF_CAP:
         return float(hypergeom_pmf_exact(params, k))
+    import mpmath  # imported here, not with the module, so commands that never need it start faster
+
     N, B, A = params.N, params.B, params.A
     with mpmath.workdps(_MP_DPS):
         val = mpmath.exp(
@@ -104,6 +105,8 @@ def hypergeom_pmf(params: HyperGeomParams, k: int) -> float:
 
 
 def _logcomb(a: int, b: int):
+    import mpmath
+
     return (
         mpmath.loggamma(a + 1)
         - mpmath.loggamma(b + 1)
@@ -250,6 +253,8 @@ def bernoulli_ratio(n: int, k: int) -> RatioResult:
     if k > N:
         raise ValueError(f"k={k} above the hypergeometric support (N={N})")
     regime_ok = k ** 5 <= n
+    import mpmath  # imported on first use, as in hypergeom_pmf
+
     with mpmath.workdps(_MP_DPS):
         log_hyper = _logcomb(N, k) + _logcomb(n - N, N - k) - _logcomb(n, N)
         log_binom = (

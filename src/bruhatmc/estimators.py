@@ -12,14 +12,15 @@ rows come from a row-by-row Fisher-Yates shuffle over per-pair pools of
 unused values: comparability draws a row only for the pairs still alive,
 and box persistence draws its window's rows for every pair before its scan
 so that its floors stay coupled, then scans from the window's first row
-on.  Pair draws and pools use the draw dtype (int16, or int32 from
-n = 2^15), which is part of the stream layout; Z cells use a cell dtype
+on.  Pair index draws use the draw dtype (int16, or int32 from n = 2^15),
+which is part of the stream layout; pools and Z cells use a cell dtype
 that only needs to hold [-n, n] (int8 below n = 128), which changes no
-result.  Sheet borders are drawn only for the trials still alive, and one
-sheet scan carries up to four blocks at once.  Each fixed-size block of
-trials draws from one counter-based stream keyed by (seed, block index),
-so results are bit-identical no matter how many workers execute the
-blocks or how a sheet scan groups them.
+result.  Sheet borders are drawn only for the trials still alive.  Each
+fixed-size block of trials draws from one counter-based stream keyed by
+(seed, block index), and one scan, pair or sheet, carries up to four
+blocks at once, so that a scan's fixed cost per step is shared; results
+are bit-identical no matter how many workers execute the blocks or how
+scans group them.  Pool workers fork with numpy.random already loaded.
 """
 from __future__ import annotations
 
@@ -36,10 +37,10 @@ from ._parallel import run_blocks
 from .perms import trial_stream
 
 _Z95 = 1.959963984540054  # normal 97.5% quantile for Wilson intervals
-_MC_BLOCK = 4096  # trials per merge block (comparability / box persistence)
+_MC_BLOCK = 4096  # pairs per block (comparability / box persistence); each block owns one stream
 _SHEET_BLOCK = 8192  # trials per sheet block; each block owns one stream
-_SHEET_TASK_BLOCKS = 4  # most sheet blocks one scan carries (bounds its memory)
-_PAIR_DRAW = 1 << 18  # entries per Fisher-Yates pool array (sub-batch cap)
+_TASK_BLOCKS = 4  # most stream blocks one scan carries (bounds its memory)
+_PAIR_DRAW = 1 << 18  # p pool entries per sub-batch of a block (caps its pairs at this // n)
 LOW_COUNT_THRESHOLD = 20
 
 
@@ -88,7 +89,7 @@ class EstimateResult:
 
 
 def _survivors(step, steps: range, floor_level: float, count: int, z: np.ndarray | None = None) -> int:
-    """Number of a block's ``count`` trials whose field stays at or above
+    """Number of a scan's ``count`` trials whose field stays at or above
     ``floor_level`` on every step of ``steps``.
 
     ``z = step(a, idx, z)`` returns the cells that step a adds for the
@@ -109,77 +110,108 @@ def _survivors(step, steps: range, floor_level: float, count: int, z: np.ndarray
     return idx.size
 
 
+def _block_runs(streams: list, bounds: list[int], idx: np.ndarray) -> list[tuple]:
+    """(stream, s, e) for each block of a scan that has trials alive: they
+    are idx[s:e].  ``bounds`` holds each block's first position in the scan,
+    then the scan's size."""
+    cuts = np.searchsorted(idx, bounds).tolist()
+    return [(g, s, e) for g, s, e in zip(streams, cuts, cuts[1:]) if e > s]
+
+
+def _task_size(block: int, trials: int, workers: int) -> int:
+    """Trials per run_blocks task: up to _TASK_BLOCKS stream blocks, fewer if
+    that would idle a worker."""
+    blocks = -(-trials // block)
+    return block * min(_TASK_BLOCKS, -(-blocks // max(1, workers)))
+
+
 def _pair_block(
     lo: int, hi: int, seed: int, n: int, last: int, first: int, cols: range, floor_level: float,
     upfront: bool = False,
 ) -> int:
-    """Successes within one block of permutation pairs (p, t).
+    """Successes among pairs (p, t) lo..hi-1, which may span several blocks.
 
-    Step a of the scan is row a of Z on the columns b in ``cols``: row a - 1
+    Step a of a scan is row a of Z on the columns b in ``cols``: row a - 1
     plus the increment [b >= p(a)] - [b >= t(a)], whose entries already hold
     their whole row prefix.  The scan checks rows ``first``..``last``.
-    The block's pairs come from trial_stream(seed, block) in sub-batches of
-    at most _PAIR_DRAW // n pairs, drawn row by row by a Fisher-Yates
-    shuffle (CSV schema mc-v3).  Each pair keeps two pools of unused values,
-    one for p and one for t, both starting as 0..n-1.  Row a takes
-    p(a) = pool[a - 1 + j] for an index j uniform on 0..n-a, then moves
-    pool[a - 1] into the freed slot; t(a) likewise from its own pool.
-    Indices and pools use the draw dtype (int16 below n = 2^15, else
-    int32), which is part of mc-v3.  Z cells use the narrowest signed dtype
-    that holds [-n, n]: int8 below n = 128, else the draw dtype; a row of
-    Z is a (len(cols), alive) array, one column per pair.
+    Each block's pairs come from its own trial_stream(seed, block) in
+    sub-batches of at most _PAIR_DRAW // n pairs, drawn row by row by a
+    Fisher-Yates shuffle (CSV schema mc-v3); scan i carries sub-batch i of
+    every block, so each stream still yields its sub-batches in order.
+    Each pair keeps two pools of unused values, one for p and one for t,
+    both starting as 0..n-1.  Row a takes p(a) = pool[a - 1 + j] for an
+    index j uniform on 0..n-a, then moves pool[a - 1] into the freed slot;
+    t(a) likewise from its own pool.  Indices are drawn in the draw dtype
+    (int16 below n = 2^15, else int32), which is part of mc-v3.  Pools and
+    Z cells use a cell dtype that only needs to hold [-n, n] (int8 below
+    n = 128, else the draw dtype), which changes no result; a row of Z is a
+    (len(cols), alive) array, one column per pair.
 
-    By default row a is drawn only for the k pairs still alive after row
-    a - 1, by two calls integers(0, n - a + 1, size=k): the p indices, then
-    the t indices.  A pair costs draws up to the row where it fails, and
-    the stream depends on which pairs fail.  With ``upfront`` the indices
-    of rows 1..``last`` are drawn for every pair of the sub-batch in one
-    call of shape (last, 2, count) before the scan (row by row, p's then
-    t's), so the pairs do not depend on the floor: box persistence couples
-    its floors this way, across sub-batches too.  Rows before ``first``
-    then only move pool entries, and Z(first - 1, .) on ``cols`` comes from
-    one count of the values they drew.
+    By default row a is drawn only for the pairs still alive after row
+    a - 1: each block with k of them alive draws by two calls
+    integers(0, n - a + 1, size=k), the p indices, then the t indices.  A
+    pair costs draws up to the row where it fails, and a stream depends on
+    which of its block's pairs fail.  With ``upfront`` each block draws the
+    indices of rows 1..``last`` for every pair of its sub-batch in one call
+    of shape (last, 2, count) before the scan (row by row, p's then t's),
+    so the pairs do not depend on the floor: box persistence couples its
+    floors this way, across sub-batches too.  Rows before ``first`` then
+    only move pool entries, and Z(first - 1, .) on ``cols`` comes from one
+    count of the values they drew.  A block's draws depend only on its own
+    pairs, so the count is the same for any grouping of blocks into tasks
+    and any worker count.  ``lo`` must start a block.
     """
-    g = trial_stream(seed, lo // _MC_BLOCK)
     dtype = np.int16 if n < 2 ** 15 else np.int32
     cell = np.int8 if n < 128 else dtype
-    b = np.arange(cols.start - 1, cols.stop - 1, dtype=dtype)[:, None]  # 0-based b - 1, a column
+    b = np.arange(cols.start - 1, cols.stop - 1, dtype=cell)[:, None]  # 0-based b - 1, a column
     batch = max(1, _PAIR_DRAW // n)
+    blocks = [(trial_stream(seed, start // _MC_BLOCK), min(start + _MC_BLOCK, hi) - start)
+              for start in range(lo, hi, _MC_BLOCK)]
     succ = 0
-    for start in range(lo, hi, batch):
-        count = min(batch, hi - start)
-        pools = np.tile(np.arange(n, dtype=dtype), 2 * count)  # p's pools, then t's
+    for offset in range(0, _MC_BLOCK, batch):
+        scan = [(g, min(batch, size - offset)) for g, size in blocks if size > offset]
+        if not scan:
+            break
+        streams = [g for g, _ in scan]
+        bounds = np.cumsum([0] + [size for _, size in scan]).tolist()
+        count = bounds[-1]
+        pools = np.tile(np.arange(n, dtype=cell), 2 * count)  # each pair's p pool, then its t pool
         if upfront:
             highs = n - np.arange(last)[:, None, None]  # n + 1 - a for rows a = 1..last
-            drawn = g.integers(0, highs, size=(last, 2, count), dtype=dtype)
+            drawn = np.concatenate(
+                [g.integers(0, highs, size=(last, 2, size), dtype=dtype) for g, size in scan], axis=2
+            )
 
-        def draw(a, idx, jp, jt):
-            # p(a) - 1 and t(a) - 1 for the pairs idx, from pool indices jp, jt
-            hp = idx * n + (a - 1)  # flat position of p's pool[a - 1]
-            ht = hp + count * n
-            at_p, at_t = hp + jp, ht + jt
-            vp, vt = pools[at_p], pools[at_t]
-            pools[at_p], pools[at_t] = pools[hp], pools[ht]
-            return vp, vt
+        def draw(a, idx, j):
+            # (p(a) - 1, t(a) - 1) for the pairs idx, from the (2, alive) pool indices j
+            heads = idx * (2 * n) + np.array([[a - 1], [n + a - 1]])  # flat positions of pool[a - 1]
+            at = heads + j
+            values = pools[at]
+            pools[at] = pools[heads]
+            return values
 
         def row(a, idx, z):
             if upfront:
-                jp, jt = drawn[a - 1][:, idx]
-            else:  # p's indices, then t's
-                jp = g.integers(0, n - a + 1, size=idx.size, dtype=dtype)
-                jt = g.integers(0, n - a + 1, size=idx.size, dtype=dtype)
-            vp, vt = draw(a, idx, jp, jt)
-            inc = np.subtract(b >= vp, b >= vt, dtype=cell)
+                j = drawn[a - 1][:, idx]
+            else:
+                j = np.empty((2, idx.size), dtype)
+                for g, s, e in _block_runs(streams, bounds, idx):  # p's indices, then t's
+                    j[0, s:e] = g.integers(0, n - a + 1, size=e - s, dtype=dtype)
+                    j[1, s:e] = g.integers(0, n - a + 1, size=e - s, dtype=dtype)
+            vp, vt = draw(a, idx, j)
+            inc = np.greater_equal(b, vp, out=np.empty((b.size, idx.size), cell))
+            inc -= b >= vt
             return inc if z is None else np.add(inc, z, out=inc)
 
         z = None
         if first > 1:  # Z(first - 1, b) = #{p(i) <= b} - #{t(i) <= b} over i < first
             every = np.arange(count)
-            done = np.array([draw(a, every, *drawn[a - 1]) for a in range(1, first)])
-            keys = done + every * n  # (first - 1, 2, count): each pair's values in its own n bins
-            counts = np.bincount(keys[:, 0].ravel(), minlength=count * n)
-            counts -= np.bincount(keys[:, 1].ravel(), minlength=count * n)
-            z = counts.reshape(count, n).cumsum(axis=1)[:, cols.start - 1 : cols.stop - 1]
+            done = np.array([draw(a, every, drawn[a - 1]) for a in range(1, first)])
+            top = cols.stop - 1  # values from here on count in no column of the window
+            keys = np.minimum(done, top) + every * (top + 1)  # (first - 1, 2, count): a pair's own bins
+            counts = np.bincount(keys[:, 0].ravel(), minlength=count * (top + 1))
+            counts -= np.bincount(keys[:, 1].ravel(), minlength=count * (top + 1))
+            z = counts.reshape(count, top + 1)[:, :top].cumsum(axis=1)[:, cols.start - 1 :]
             z = z.T.astype(cell, order="C")  # cells-major, like the rows
         succ += _survivors(row, range(first, last + 1), floor_level, count, z)
     return succ
@@ -198,7 +230,7 @@ def estimate_comparability(n: int, trials: int, seed: int, workers: int = 1) -> 
         _pair_block, seed=seed, n=n, last=n, first=1, cols=range(1, n + 1),
         floor_level=0,
     )
-    succ = sum(run_blocks(trials, _MC_BLOCK, fn, workers))
+    succ = sum(run_blocks(trials, _task_size(_MC_BLOCK, trials, workers), fn, workers))
     return EstimateResult.from_counts(n, trials, succ, seed, time.perf_counter() - start)
 
 
@@ -216,7 +248,7 @@ def estimate_box_persistence(
         _pair_block, seed=seed, n=n, last=min((5 * x) // 4, n), first=x,
         cols=range(y, min((5 * y) // 4, n) + 1), floor_level=-c_log * math.log(n), upfront=True,
     )
-    succ = sum(run_blocks(trials, _MC_BLOCK, fn, workers))
+    succ = sum(run_blocks(trials, _task_size(_MC_BLOCK, trials, workers), fn, workers))
     return EstimateResult.from_counts(n, trials, succ, seed, time.perf_counter() - start)
 
 
@@ -294,11 +326,10 @@ def _sheet_block(lo: int, hi: int, seed: int, m: int, floor_level: float, q: flo
 
     def square(k, idx, z):
         border = np.empty((2 * k - 1, idx.size))
-        cuts = np.searchsorted(idx, bounds).tolist()
         # a block's (alive, 2k - 1) draw comes in runs of whole trials,
         # each about 2^16 cells (512 KB), so its transposed copy stays in cache
         run = max(1, (1 << 16) // (2 * k - 1))
-        for g, s, e in zip(streams, cuts, cuts[1:]):
+        for g, s, e in _block_runs(streams, bounds, idx):
             for i in range(s, e, run):
                 j = min(i + run, e)
                 border[:, i:j] = _sheet_increments(g, (j - i, 2 * k - 1), q).T
@@ -332,10 +363,7 @@ def sheet_persistence(
     floor_level = -threshold if q is None else -threshold * math.sqrt(2.0 * q)
     start = time.perf_counter()
     fn = partial(_sheet_block, seed=seed, m=m, floor_level=floor_level, q=q)
-    # a scan carries up to _SHEET_TASK_BLOCKS blocks, fewer if that would idle a worker
-    blocks = -(-trials // _SHEET_BLOCK)
-    task_blocks = min(_SHEET_TASK_BLOCKS, -(-blocks // max(1, workers)))
-    succ = sum(run_blocks(trials, _SHEET_BLOCK * task_blocks, fn, workers))
+    succ = sum(run_blocks(trials, _task_size(_SHEET_BLOCK, trials, workers), fn, workers))
     return EstimateResult.from_counts(m, trials, succ, seed, time.perf_counter() - start)
 
 

@@ -541,19 +541,37 @@ def test_repeated_size_is_config_error(capsys, tmp_path, argv, message):
     assert not out_dir.exists()
 
 
+MC_ARGV = ["mc", "--n", "4", "--trials", "100", "--seed", "1", "--out"]
+GAUSS_ARGV = ["gauss", "--grid", "8", "--threshold", "1", "--trials", "10", "--seed", "1", "--out"]
+CHAINSTAT_ARGV = ["chainstat", "--n", "64", "--x", "8", "--y", "8", "--trials", "10", "--seed", "1", "--out"]
+
+
 @pytest.mark.parametrize(
     "argv, reason",
     [
-        (["mc", "--n", "4", "--trials", "100", "--seed", "1", "--out", "{dir}"], "Is a directory"),
-        (["gauss", "--grid", "8", "--threshold", "1", "--trials", "10", "--seed", "1", "--out", "{file}/x.csv"],
-         "File exists"),
+        (MC_ARGV + ["{dir}"], "Is a directory"),
+        (GAUSS_ARGV + ["{file}/x.csv"], "File exists"),
         (["pipeline-scaling", "--n-grid", "4,6,8,12", "--trials", "100", "--seed", "1", "--out-dir", "{file}"],
          "File exists"),
+        (MC_ARGV + ["{file}/x.csv"], "File exists"),
+        (GAUSS_ARGV + ["{dir}"], "Is a directory"),
+        (CHAINSTAT_ARGV + ["{dir}"], "Is a directory"),
+        (CHAINSTAT_ARGV + ["{file}/x.csv"], "File exists"),
     ],
-    ids=["mc-out-directory", "gauss-out-under-file", "pipeline-out-dir-file"],
+    ids=[
+        "mc-out-directory", "gauss-out-under-file", "pipeline-out-dir-file", "mc-out-under-file",
+        "gauss-out-directory", "chainstat-out-directory", "chainstat-out-under-file",
+    ],
 )
-def test_unwritable_output_is_one_line_config_error(capsys, tmp_path, argv, reason):
-    # each of these once ended in an OSError traceback and exit code 1
+def test_unwritable_output_is_one_line_config_error(capsys, tmp_path, monkeypatch, argv, reason):
+    # each of these once ended in an OSError traceback and exit code 1, and
+    # all but pipeline-scaling once ran the whole estimate before failing:
+    # no estimator may be reached now
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an estimate ran before the output path was checked")
+
+    for estimator in ("estimate_comparability", "sheet_persistence", "max_rect_stat"):
+        monkeypatch.setattr(f"bruhatmc.cli.{estimator}", unreachable)
     paths = {"dir": tmp_path / "existing", "file": tmp_path / "existing.txt"}
     paths["dir"].mkdir()
     paths["file"].write_text("keep\n")
@@ -563,6 +581,54 @@ def test_unwritable_output_is_one_line_config_error(capsys, tmp_path, argv, reas
     assert out == "" and "Traceback" not in err and err.count("config error") == 1
     assert err.splitlines()[-1] == f"config error: cannot write {argv[-1]}: {reason}"
     assert paths["file"].read_text() == "keep\n" and list(paths["dir"].iterdir()) == []
+
+
+def test_writable_output_check_leaves_no_file(capsys, tmp_path, monkeypatch):
+    def refused(*args, **kwargs):
+        raise ValueError("stop after the check")
+
+    monkeypatch.setattr("bruhatmc.cli.estimate_comparability", refused)
+    out = tmp_path / "new" / "mc.csv"
+    with pytest.raises(ValueError, match="stop after the check"):
+        main(["mc", "--n", "4", "--trials", "100", "--seed", "1", "--out", str(out)])
+    assert not out.exists()
+
+
+def _data_digest(text: str) -> str:
+    # sha256 of a CSV's data rows: the schema line (it names the software
+    # version) and the column header are left out
+    return hashlib.sha256("".join(text.splitlines(keepends=True)[2:]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        pytest.param(
+            ["gauss", "--grid", "8,32", "--threshold", "1", "--trials", "20000", "--seed", "5"],
+            "1a06d84c149cee1a2ec09c50a70a51cf450cba815c7b93c736a5100bc6aac0c2", id="gauss-v3",
+        ),
+        pytest.param(
+            ["mc", "--n", "3,12,40,100", "--trials", "20000", "--seed", "11", "--force"],
+            "cff9671eaca00bde4bdcc3ebe02b028bed22a76f00b36c87b1c451e57eaa367d", id="mc-v3",
+        ),
+        pytest.param(
+            ["pipeline-scaling", "--n-grid", "4,6,8,16,32,64", "--trials", "8192,8192,8192,32768,65536,131072",
+             "--seed", "20261017"],
+            "ac11e7580b3bf90e7070151f014d0edb3ca59387712f7f0e7c8b11c7d36578b2", id="mc-grid",
+        ),
+    ],
+)
+def test_output_digest_pinned(capsys, tmp_path, argv, digest, workers):
+    # pinned counts miss a change in float summation order; these digests
+    # see every byte of the p_hat and interval columns too.  n = 100 draws
+    # each 4096-pair block in two sub-batches
+    if argv[0] == "pipeline-scaling":
+        argv = argv + ["--out-dir", str(tmp_path)]
+    code, out, _ = run(capsys, *argv, "--workers", workers)
+    assert code == EXIT_OK
+    text = (tmp_path / "results.csv").read_text() if argv[0] == "pipeline-scaling" else out
+    assert _data_digest(text) == digest
 
 
 def test_value_error_inside_a_command_propagates(monkeypatch):

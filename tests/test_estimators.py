@@ -1,13 +1,17 @@
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
 from bruhatmc.estimators import (
+    _MC_BLOCK,
     EstimateResult,
+    _pair_block,
     _square_border,
     _survivors,
+    _task_size,
     estimate_box_persistence,
     estimate_comparability,
     fit_scaling,
@@ -93,6 +97,24 @@ def drawn_pairs(n, count, seed, window_rows=None):
                 alive[i] = alive[i] and min(zrow[i]) >= 0
         out.extend(zip((p for p, _ in pools), (t for _, t in pools), drawn, alive))
     return out
+
+
+# 7 blocks of pairs, run as tasks of [4, 3], [4, 3], [3, 3, 1] and
+# [2, 2, 2, 1] blocks at 1, 2, 3 and 4 workers
+GROUPED_TRIALS = 6 * _MC_BLOCK + 17
+
+
+def grouped_counts(fn, trials=GROUPED_TRIALS):
+    """fn(lo, hi) summed over the tasks that 1, 2, 3 and 4 workers get,
+    then over one-block calls."""
+    sizes = [_task_size(_MC_BLOCK, trials, workers) for workers in (1, 2, 3, 4)] + [_MC_BLOCK]
+    return [sum(fn(lo, min(lo + size, trials)) for lo in range(0, trials, size)) for size in sizes]
+
+
+def test_task_sizes_group_up_to_four_blocks():
+    assert [_task_size(_MC_BLOCK, GROUPED_TRIALS, w) // _MC_BLOCK for w in (1, 2, 3, 4)] == [4, 4, 3, 2]
+    assert [_task_size(8192, 8192 * k, 2) // 8192 for k in (1, 2, 3, 8, 9, 40)] == [1, 1, 2, 4, 4, 4]
+    assert _task_size(_MC_BLOCK, 1, 10**20) == _MC_BLOCK
 
 
 def as_perm(values):
@@ -212,6 +234,19 @@ class TestComparabilityEstimator:
         keep = ("n", "trials", "successes", "p_hat", "ci_low", "ci_high", "seed")
         assert {k: getattr(a, k) for k in keep} == {k: getattr(b, k) for k in keep}
 
+    @pytest.mark.parametrize("n", [12, 100])
+    def test_task_grouping_changes_no_count(self, n):
+        # n = 100 draws each block in two sub-batches (2621 + 1475 pairs)
+        fn = partial(_pair_block, seed=4, n=n, last=n, first=1, cols=range(1, n + 1), floor_level=0)
+        one_block = grouped_counts(fn)[-1]
+        counts = [estimate_comparability(n, GROUPED_TRIALS, 4, workers=w).successes for w in (1, 2, 3, 4)]
+        assert counts == [one_block] * 4
+        # every count is 0 at n = 100; a floor of -2 keeps about 2% of the
+        # pairs alive, so the lazy draws of both sub-batches decide it
+        low = partial(fn, floor_level=-2) if n == 100 else fn
+        counts = grouped_counts(low)
+        assert counts == [counts[-1]] * 5 and counts[0] > 0
+
     @staticmethod
     def assert_agrees_with_exact(n, seed):
         exact = float(exact_comparability_count(n).probability)
@@ -270,6 +305,19 @@ class TestBoxPersistence:
         a = estimate_box_persistence(40, 10, 12, 1.0, 300, 8, workers=1)
         b = estimate_box_persistence(40, 10, 12, 1.0, 300, 8, workers=2)
         assert (a.successes, a.p_hat) == (b.successes, b.p_hat)
+
+    def test_task_grouping_changes_no_count(self):
+        # n = 200 draws each block in sub-batches of 1310 pairs; 5 blocks run
+        # as tasks of [4, 1], [3, 2], [2, 2, 1] and [2, 2, 1] blocks
+        n, x, y, c_log, trials, seed = 200, 40, 50, 0.5, 5 * _MC_BLOCK + 3, 6
+        fn = partial(
+            _pair_block, seed=seed, n=n, last=5 * x // 4, first=x, cols=range(y, 5 * y // 4 + 1),
+            floor_level=-c_log * math.log(n), upfront=True,
+        )
+        counts = grouped_counts(fn, trials)
+        assert counts == [counts[-1]] * 5 and 0 < counts[-1] < trials
+        for workers in (1, 2, 3, 4):
+            assert estimate_box_persistence(n, x, y, c_log, trials, seed, workers=workers).successes == counts[-1]
 
     def test_parameter_bounds(self):
         with pytest.raises(ValueError):

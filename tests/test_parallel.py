@@ -1,8 +1,12 @@
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bruhatmc
 from bruhatmc import _parallel
 from bruhatmc._parallel import run_blocks, shared_pool
 from bruhatmc.cli import EXIT_OK, main
@@ -37,7 +41,8 @@ def pool_sizes(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", RecordingPool)
+    # _pool imports the executor class when it starts a pool
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     return sizes
 
 
@@ -62,6 +67,30 @@ def test_huge_worker_count_runs_on_cpu_count_processes(pool_sizes, capsys):
     assert pool_sizes == [os.cpu_count() or 1]
     huge = sheet_persistence(8, 1.0, 40_000, 1, workers=10**20)
     assert huge.successes == sheet_persistence(8, 1.0, 40_000, 1).successes
+
+
+WARM_FORK_SCRIPT = """
+import sys
+from bruhatmc._parallel import run_blocks
+
+def loaded(lo, hi):
+    return "numpy.random" in sys.modules
+
+assert "numpy.random" not in sys.modules
+print(run_blocks(2, 1, loaded, workers=2))
+"""
+
+
+def test_workers_fork_with_numpy_random_loaded():
+    # numpy imports numpy.random lazily; a worker that had to import it
+    # would pay for that on its first block
+    src = str(Path(bruhatmc.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", WARM_FORK_SCRIPT], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[True, True]"
 
 
 def test_shared_pool_leaves_counts_unchanged():
