@@ -5,7 +5,7 @@ prefix-count tables, hypergeometric parameter triples, Monte Carlo estimate
 records) and pure functions over them:
 
 - :mod:`bruhatmc.perms`      permutations, dominance tables, symmetry maps,
-  reproducible counter-based sampling streams
+  reproducible counter-based sampling streams, batched row draws
 - :mod:`bruhatmc.order`      strong/weak Bruhat comparability, cover relations,
   exact comparable-pair counts by a dynamic program over rows
 - :mod:`bruhatmc.zprocess`   the prefix-difference process Z(a,b), rectangle

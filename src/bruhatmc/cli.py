@@ -55,7 +55,7 @@ MC_SCHEMA = "mc-v3"
 # schemas fit still reads: older rows are identical, only the stream layout differs
 MC_READABLE = (MC_SCHEMA, "mc-v2", "mc-v1")
 GAUSS_SCHEMA = "gauss-v3"
-CHAINSTAT_SCHEMA = "chainstat-v2"
+CHAINSTAT_SCHEMA = "chainstat-v3"
 NAIVE_MC_MAX_N = 64
 
 MC_COLUMNS = ["n", "trials", "successes", "p_hat", "ci_low", "ci_high", "seed"]

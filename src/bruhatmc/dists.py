@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .perms import permutation_rows
 from .zprocess import Rectangle
 
 _MP_DPS = 60
@@ -172,26 +173,17 @@ def bernstein_bound(params: HyperGeomParams, t: float, override: bool = False) -
     return 2.0 * math.exp(-exponent / 16.0)
 
 
-def box_count_law_check(
-    n: int, rect: Rectangle, trials: int, stream: np.random.Generator, batch: int = 20000
-) -> BoxLawReport:
+def box_count_law_check(n: int, rect: Rectangle, trials: int, stream: np.random.Generator) -> BoxLawReport:
     """Sample box counts of uniform permutations and compare the histogram to
     HyperGeom(n, b2-b1, a2-a1): total-variation distance and the chi-square
-    statistic over the support."""
+    statistic over the support.  Rows (a1, a2] have the law of rows
+    1..a2-a1, so a trial draws only a2 - a1 rows (permutation_rows)."""
     if rect.a2 > n or rect.b2 > n:
         raise ValueError(f"rectangle {rect} out of bounds for n={n}")
     params = HyperGeomParams(n, rect.b2 - rect.b1, rect.a2 - rect.a1)
-    hist: dict[int, int] = {}
-    base = np.tile(np.arange(1, n + 1), (batch, 1))
-    done = 0
-    while done < trials:
-        m = min(batch, trials - done)
-        block = stream.permuted(base[:m], axis=1)
-        vals = block[:, rect.a1 : rect.a2]
-        counts = ((vals > rect.b1) & (vals <= rect.b2)).sum(axis=1)
-        for k, c in zip(*np.unique(counts, return_counts=True)):
-            hist[int(k)] = hist.get(int(k), 0) + int(c)
-        done += m
+    vals = permutation_rows(n, rect.a2 - rect.a1, trials, stream)
+    counts = ((vals > rect.b1) & (vals <= rect.b2)).sum(axis=1)
+    hist = {int(k): int(c) for k, c in zip(*np.unique(counts, return_counts=True))}
     tv = 0.0
     chi2 = 0.0
     for k in params.support:

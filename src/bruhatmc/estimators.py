@@ -34,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from ._parallel import run_blocks
-from .perms import trial_stream
+from .perms import fisher_yates_step, prefix_sums, trial_stream
 
 _Z95 = 1.959963984540054  # normal 97.5% quantile for Wilson intervals
 _MC_BLOCK = 4096  # pairs per block (comparability / box persistence); each block owns one stream
@@ -139,13 +139,12 @@ def _pair_block(
     Fisher-Yates shuffle (CSV schema mc-v3); scan i carries sub-batch i of
     every block, so each stream still yields its sub-batches in order.
     Each pair keeps two pools of unused values, one for p and one for t,
-    both starting as 0..n-1.  Row a takes p(a) = pool[a - 1 + j] for an
-    index j uniform on 0..n-a, then moves pool[a - 1] into the freed slot;
-    t(a) likewise from its own pool.  Indices are drawn in the draw dtype
-    (int16 below n = 2^15, else int32), which is part of mc-v3.  Pools and
-    Z cells use a cell dtype that only needs to hold [-n, n] (int8 below
-    n = 128, else the draw dtype), which changes no result; a row of Z is a
-    (len(cols), alive) array, one column per pair.
+    both starting as 0..n-1; row a takes p(a) by fisher_yates_step with an
+    index uniform on 0..n-a, then t(a) likewise.  Indices are drawn in the
+    draw dtype (int16 below n = 2^15, else int32), which is part of mc-v3.
+    Pools and Z cells use a cell dtype that only needs to hold [-n, n] (int8
+    below n = 128, else the draw dtype), which changes no result; a row of Z
+    is a (len(cols), alive) array, one column per pair.
 
     By default row a is drawn only for the pairs still alive after row
     a - 1: each block with k of them alive draws by two calls
@@ -184,11 +183,7 @@ def _pair_block(
 
         def draw(a, idx, j):
             # (p(a) - 1, t(a) - 1) for the pairs idx, from the (2, alive) pool indices j
-            heads = idx * (2 * n) + np.array([[a - 1], [n + a - 1]])  # flat positions of pool[a - 1]
-            at = heads + j
-            values = pools[at]
-            pools[at] = pools[heads]
-            return values
+            return fisher_yates_step(pools, idx * (2 * n) + np.array([[a - 1], [n + a - 1]]), j)
 
         def row(a, idx, z):
             if upfront:
@@ -237,8 +232,8 @@ def estimate_comparability(n: int, trials: int, seed: int, workers: int = 1) -> 
 def estimate_box_persistence(
     n: int, x: int, y: int, c_log: float, trials: int, seed: int, workers: int = 1
 ) -> EstimateResult:
-    """Estimate P(min Z(a,b) >= -c_log * ln n) over the window
-    a in [x, 5x/4], b in [y, 5y/4], for fresh uniform pairs."""
+    """Estimate P(min Z(a,b) >= -c_log * ln n), checked at the floor's integer
+    ceiling (Z is an integer), over a in [x, 5x/4], b in [y, 5y/4], for fresh pairs."""
     if not (1 <= x <= n // 2 and 1 <= y <= n // 2):
         raise ValueError(f"need 1 <= x, y <= n/2, got x={x} y={y} n={n}")
     if c_log < 0 or trials < 1:
@@ -246,7 +241,8 @@ def estimate_box_persistence(
     start = time.perf_counter()
     fn = partial(
         _pair_block, seed=seed, n=n, last=min((5 * x) // 4, n), first=x,
-        cols=range(y, min((5 * y) // 4, n) + 1), floor_level=-c_log * math.log(n), upfront=True,
+        cols=range(y, min((5 * y) // 4, n) + 1), floor_level=math.ceil(-c_log * math.log(n)),
+        upfront=True,
     )
     succ = sum(run_blocks(trials, _task_size(_MC_BLOCK, trials, workers), fn, workers))
     return EstimateResult.from_counts(n, trials, succ, seed, time.perf_counter() - start)
@@ -390,11 +386,9 @@ def sheet_grid(
     with probability p(1-p) each in zeta mode."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    inc = _sheet_increments(stream, (m, m), _sheet_q(m, mode, p))
     g = np.zeros((m + 1, m + 1))
-    np.cumsum(inc, axis=0, out=g[1:, 1:])
-    np.cumsum(g[1:, 1:], axis=1, out=g[1:, 1:])
-    return SheetGrid(m, g)
+    g[1:, 1:] = _sheet_increments(stream, (m, m), _sheet_q(m, mode, p))
+    return SheetGrid(m, prefix_sums(g))
 
 
 def _log_variance(r: EstimateResult) -> float:

@@ -3,20 +3,20 @@
 Permutations are 1-indexed: ``p(i)`` is the value in row ``i`` of the
 corresponding permutation matrix, i.e. the matrix has a one at ``(i, p(i))``.
 The matrix itself is never stored; everything is derived from the one-line
-word.  Prefix counts of the matrix live in :class:`DominanceTable`.
+word.  Prefix counts of the matrix live in :class:`DominanceTable`.  The
+package builds every prefix table with :func:`prefix_sums` and draws rows of
+permutations with :func:`fisher_yates_step`, batched by :func:`permutation_rows`.
 """
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-# Full (n+1) x (n+1) tables are materialized only up to this size; above it
-# callers must stream rows (see dominance_rows).
-MAX_TABLE_SIZE = 1 << 14
+MAX_TABLE_SIZE = 1 << 14  # largest n whose full (n+1) x (n+1) table is materialized
+_ROW_DRAW = 1 << 20  # pool entries per sub-batch of permutation_rows (bounds its memory for any n)
 
 
 def trial_stream(seed: int, trial: int = 0) -> np.random.Generator:
@@ -101,6 +101,14 @@ def sample_uniform(n: int, stream: np.random.Generator) -> Permutation:
     return Permutation(tuple(word.tolist()))
 
 
+def prefix_sums(table: np.ndarray) -> np.ndarray:
+    """Prefix sums, in place, over the last two axes of a contiguous table
+    whose first row and column the caller zeroed (faster than into a view)."""
+    np.cumsum(table, axis=-2, out=table)
+    np.cumsum(table, axis=-1, out=table)
+    return table
+
+
 def dominance_table(p: Permutation) -> DominanceTable:
     """The full (n+1) x (n+1) prefix-count table of p, built in O(n^2).
 
@@ -109,24 +117,37 @@ def dominance_table(p: Permutation) -> DominanceTable:
     """
     n = p.n
     if n > MAX_TABLE_SIZE:
-        raise ValueError(
-            f"n={n} exceeds the table materialization cap {MAX_TABLE_SIZE}; "
-            "stream rows with dominance_rows instead"
-        )
+        raise ValueError(f"n={n} exceeds the table materialization cap {MAX_TABLE_SIZE}")
     counts = np.zeros((n + 1, n + 1), dtype=np.min_scalar_type(n))
     counts[np.arange(1, n + 1), np.fromiter(p.values, dtype=np.intp, count=n)] = 1
-    np.cumsum(counts, axis=0, out=counts)
-    np.cumsum(counts, axis=1, out=counts)
-    return DominanceTable(n, counts)
+    return DominanceTable(n, prefix_sums(counts))
 
 
-def dominance_rows(p: Permutation) -> Iterator[np.ndarray]:
-    """Yield rows 1..n of the dominance table one at a time in O(n) memory."""
-    n = p.n
-    row = np.zeros(n + 1, dtype=np.min_scalar_type(n))
-    for i in range(n):
-        row[p.values[i]:] += 1
-        yield row
+def fisher_yates_step(pools: np.ndarray, heads: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """One Fisher-Yates step on flat pools of unused values: return
+    pools[heads + j] and move pools[heads] into the freed slots."""
+    at = heads + j
+    values = pools[at]
+    pools[at] = pools[heads]
+    return values
+
+
+def permutation_rows(n: int, rows: int, count: int, stream: np.random.Generator) -> np.ndarray:
+    """Rows 1..``rows`` of ``count`` uniform permutations of [n], a
+    (count, rows) array in int16 below n = 2^15, else int32.  Sub-batches of
+    max(1, _ROW_DRAW // n) permutations each draw all their indices in one
+    call of shape (rows, size), row a's uniform on 0..n - a, and apply them
+    row by row to pools that start as 1..n."""
+    dtype = np.int16 if n < 2 ** 15 else np.int32
+    words = np.empty((rows, count), dtype)  # rows-major: each step writes one run
+    batch = max(1, _ROW_DRAW // n)
+    for s in range(0, count, batch):
+        size = min(batch, count - s)
+        j = stream.integers(0, n - np.arange(rows)[:, None], size=(rows, size), dtype=dtype)
+        pools = np.tile(np.arange(1, n + 1, dtype=dtype), size)
+        for a in range(rows):
+            words[a, s : s + size] = fisher_yates_step(pools, np.arange(a, size * n, n), j[a])
+    return words.T
 
 
 def inversion_count(p: Permutation) -> int:

@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from ._parallel import run_blocks
-from .perms import MAX_TABLE_SIZE, Permutation, trial_stream
+from .perms import MAX_TABLE_SIZE, Permutation, permutation_rows, prefix_sums, trial_stream
 
 _STAT_BLOCK = 256  # trials per merge block; each block owns one stream
 _STAT_CELLS = 1 << 16  # window-table cells per sub-batch
@@ -84,9 +84,7 @@ def z_table(p: Permutation, t: Permutation) -> ZTable:
     rows = np.arange(1, n + 1)
     z[rows, np.fromiter(p.values, dtype=np.intp, count=n)] += 1
     z[rows, np.fromiter(t.values, dtype=np.intp, count=n)] -= 1
-    np.cumsum(z, axis=0, out=z)
-    np.cumsum(z, axis=1, out=z)
-    return ZTable(n, z)
+    return ZTable(n, prefix_sums(z))
 
 
 def persistence_holds(zt: ZTable) -> bool:
@@ -141,7 +139,7 @@ def _window_stats(words: np.ndarray, n: int, first: int, y0: int, y1: int) -> np
 
     Sub-batches of at most _STAT_CELLS table cells scatter their points with
     one bincount, rows before ``first`` folded into the table's first row;
-    two cumulative sums turn points into counts.
+    prefix_sums turns points into counts.
     """
     count, r = words.shape
     rows, cols = r - first + 1, y1 - y0 + 1
@@ -154,37 +152,31 @@ def _window_stats(words: np.ndarray, n: int, first: int, y0: int, y1: int) -> np
         w = words[s : s + batch]
         t, i = np.nonzero((w > y0) & (w <= y1))
         table = np.bincount(t * cells + offset[i] + (w[t, i] - y0), minlength=len(w) * cells)
-        table = table.reshape(len(w), rows, cols)
-        np.cumsum(table, axis=1, out=table)
-        np.cumsum(table, axis=2, out=table)
+        table = prefix_sums(table.reshape(len(w), rows, cols))
         stats.append(np.abs(table - expect).max(axis=(1, 2)))
     return np.concatenate(stats)
 
 
 def _window_stat_block(
-    lo: int, hi: int, seed: int, n: int, r0: int, r1: int, first: int, y0: int, y1: int
+    lo: int, hi: int, seed: int, n: int, rows: int, first: int, y0: int, y1: int
 ) -> tuple[int, float, float]:
-    """(count, sum, sum of squares) of _window_stats on the rows (r0, r1]
-    of the block's permutations: the rows of trial_stream(seed, block)
-    .permuted(tile, axis=1) on a (hi - lo) x n tile of 1..n in the kernel
-    dtype (CSV schema chainstat-v2)."""
+    """(count, sum, sum of squares) of _window_stats on ``rows`` rows drawn
+    by permutation_rows from trial_stream(seed, block) (CSV schema chainstat-v3)."""
     g = trial_stream(seed, lo // _STAT_BLOCK)
-    dtype = np.int16 if n < 2 ** 15 else np.int32
-    words = g.permuted(np.tile(np.arange(1, n + 1, dtype=dtype), (hi - lo, 1)), axis=1)
-    stat = _window_stats(words[:, r0:r1], n, first, y0, y1)
+    stat = _window_stats(permutation_rows(n, rows, hi - lo, g), n, first, y0, y1)
     return stat.size, float(stat.sum()), float(stat @ stat)
 
 
 def _window_max(
-    n: int, x: int, y: int, trials: int, seed: int, workers: int, r0: int, r1: int, first: int
+    n: int, x: int, y: int, trials: int, seed: int, workers: int, rows: int, first: int
 ) -> TrialSummary:
-    """Mean of _window_stats on the rows (r0, r1] and the columns (y, 5y/4]."""
+    """Mean of _window_stats on ``rows`` drawn rows and the columns (y, 5y/4]."""
     if not (1 <= x <= n and 1 <= y <= n):
         raise ValueError(f"need 1 <= x, y <= n, got x={x} y={y} n={n}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     y1 = min(5 * y // 4, n)
-    fn = partial(_window_stat_block, seed=seed, n=n, r0=r0, r1=r1, first=first, y0=y, y1=y1)
+    fn = partial(_window_stat_block, seed=seed, n=n, rows=rows, first=first, y0=y, y1=y1)
     count, total, sumsq = (sum(col) for col in zip(*run_blocks(trials, _STAT_BLOCK, fn, workers)))
     mean = total / count
     var = max(sumsq / count - mean * mean, 0.0) * (count / max(count - 1, 1))
@@ -195,13 +187,13 @@ def max_rect_stat(n: int, x: int, y: int, trials: int, seed: int, workers: int =
     """Monte Carlo mean of max |centered count of (x,a] x (y,b]| over the
     window a in [x, 5x/4], b in [y, 5y/4], one fresh permutation per trial.
 
-    A trial shuffles n values and counts only the window's rows; no
-    (n+1) x (n+1) table is built.
+    Rows (x, 5x/4] of a uniform permutation have the law of its rows 1..R,
+    R = 5x/4 - x, so a trial draws only R rows and builds no full table.
     """
-    return _window_max(n, x, y, trials, seed, workers, x, min(5 * x // 4, n), 0)
+    return _window_max(n, x, y, trials, seed, workers, min(5 * x // 4, n) - x, 0)
 
 
 def max_strip_stat(n: int, x: int, y: int, trials: int, seed: int, workers: int = 1) -> TrialSummary:
     """Monte Carlo mean of max |centered count of (0,x] x (y,b]| over
     b in [y, 5y/4]; the one-dimensional strip analogue of max_rect_stat."""
-    return _window_max(n, x, y, trials, seed, workers, 0, x, x)
+    return _window_max(n, x, y, trials, seed, workers, x, x)

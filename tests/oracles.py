@@ -1,12 +1,17 @@
-"""Independent oracles for the strong Bruhat order, kept out of the library.
+"""Independent oracles, kept out of the library.
 
 The strong order is the transitive closure of its covers: transpositions
 that raise the inversion count by exactly 1.  The closure below follows that
 definition directly and shares nothing with the prefix criterion or the
 row-transfer count it checks.  It holds one bitmask of (n!) bits per
 permutation, so it stops at n = 7 (n = 8 would need about 200 MB).
+
+fisher_yates_words replays the batched row draw of bruhatmc.perms one
+permutation at a time, by list swaps in pure Python.
 """
 import functools
+
+import numpy as np
 
 from bruhatmc.order import _lex_index, covering_successors
 from bruhatmc.perms import Permutation, inversion_count
@@ -42,3 +47,31 @@ def comparable_pairs(n: int) -> int:
     """Number of ordered pairs (p, t) in S_n x S_n with t reachable from p."""
     return sum(mask.bit_count() for mask in cover_closure(n).values())
 
+
+
+ROW_DRAW = 1 << 20  # pool entries per sub-batch of the batched row draw
+
+
+def fisher_yates_words(n: int, rows: int, count: int, stream) -> list[list[int]]:
+    """``count`` full permutations of 1..n whose first ``rows`` values are
+    the rows that perms.permutation_rows draws from ``stream``.
+
+    Sub-batches of max(1, ROW_DRAW // n) permutations each take one
+    (rows, size) index draw, row a's index uniform on 0..n - a, in int16
+    below n = 2^15, else int32.  Permutation c of a sub-batch starts from
+    the list 1..n and swaps entry a - 1 with entry a - 1 + j[a - 1, c]
+    for a = 1..rows, so the rest of the list holds the values not drawn.
+    """
+    dtype = np.int16 if n < 2 ** 15 else np.int32
+    batch = max(1, ROW_DRAW // n)
+    words = []
+    for s in range(0, count, batch):
+        size = min(batch, count - s)
+        j = stream.integers(0, n - np.arange(rows)[:, None], size=(rows, size), dtype=dtype).tolist()
+        for c in range(size):
+            word = list(range(1, n + 1))
+            for a in range(rows):
+                i = a + j[a][c]
+                word[a], word[i] = word[i], word[a]
+            words.append(word)
+    return words

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bruhatmc
 from bruhatmc.cli import (
     CHAINSTAT_SCHEMA,
     EXIT_CONFIG,
@@ -388,7 +392,7 @@ class TestChainstat:
             assert main(argv + ["--workers", workers, "--out", str(out_file)]) == EXIT_OK
             outputs.append(out_file.read_bytes())
         assert outputs[0] == outputs[1]
-        assert outputs[0].startswith(b"# schema=chainstat-v2 ")
+        assert outputs[0].startswith(b"# schema=chainstat-v3 ")
 
     def test_writes_file_and_manifest(self, capsys, tmp_path):
         out_file = tmp_path / "chain.csv"
@@ -767,3 +771,22 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+LAZY_IMPORT_SCRIPT = """
+import sys
+import bruhatmc.cli
+print(sorted(m for m in ("mpmath", "concurrent.futures", "numpy.random") if m in sys.modules))
+"""
+
+
+def test_cli_import_leaves_lazy_modules_unloaded():
+    # the code that needs mpmath, the process pool or numpy.random imports
+    # it, so start-up (check, --version) pays for none of them
+    src = str(Path(bruhatmc.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_IMPORT_SCRIPT], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,15 +8,18 @@ from hypothesis import strategies as st
 from bruhatmc.perms import (
     MAX_TABLE_SIZE,
     Permutation,
-    dominance_rows,
     dominance_table,
     format_permutation,
     inversion_count,
     parse_permutation,
+    permutation_rows,
+    prefix_sums,
     sample_uniform,
     symmetry_map,
     trial_stream,
 )
+
+from oracles import fisher_yates_words
 
 perm_words = st.integers(1, 8).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
@@ -156,16 +161,40 @@ class TestDominanceTable:
 
     def test_large_tables_must_stream(self):
         p = Permutation(tuple(range(1, MAX_TABLE_SIZE + 2)))
-        with pytest.raises(ValueError, match="stream"):
+        with pytest.raises(ValueError, match="materialization cap"):
             dominance_table(p)
-        first = next(iter(dominance_rows(p)))
-        assert first[0] == 0 and first[1] == 1
 
-    def test_rows_match_table(self):
-        p = random_perm(40, 3)
-        c = dominance_table(p).counts
-        for i, row in enumerate(dominance_rows(p), start=1):
-            assert (row == c[i]).all()
+    def test_prefix_sums_run_in_place_on_the_last_two_axes(self):
+        table = np.zeros((2, 3, 4), dtype=np.int64)
+        table[:, 1:, 1:] = np.arange(12).reshape(2, 2, 3)
+        expected = table.cumsum(axis=1).cumsum(axis=2)
+        assert prefix_sums(table) is table
+        assert (table == expected).all()
+
+
+class TestPermutationRows:
+    @pytest.mark.parametrize(
+        "n, rows, count",
+        [(6, 6, 40), (6, 0, 5), (40, 7, 300), (5000, 3, 500), (40000, 2, 60)],
+        ids=["full", "no-rows", "one-sub-batch", "three-sub-batches", "int32-draws"],
+    )
+    def test_replays_list_swaps(self, n, rows, count):
+        # 5000: sub-batches of 209, 209 and 82; 40000: of 26, 26 and 8
+        words = permutation_rows(n, rows, count, trial_stream(41, n))
+        expected = fisher_yates_words(n, rows, count, trial_stream(41, n))
+        assert words.shape == (count, rows)
+        assert words.dtype == (np.int16 if n < 2 ** 15 else np.int32)
+        assert words.tolist() == [w[:rows] for w in expected]
+        assert all(sorted(w) == list(range(1, n + 1)) for w in expected)
+
+    def test_full_rows_are_uniform_on_s4(self):
+        trials = 24_000
+        words = permutation_rows(4, 4, trials, trial_stream(42))
+        _, counts = np.unique(words, axis=0, return_counts=True)
+        assert counts.size == 24
+        # each count is Binomial(trials, 1/24): 5 standard deviations
+        sd = math.sqrt(trials * (1 / 24) * (23 / 24))
+        assert np.abs(counts - trials / 24).max() < 5 * sd
 
 
 class TestInversions:

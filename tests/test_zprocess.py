@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,8 @@ from bruhatmc.zprocess import (
     z_table,
 )
 
+from oracles import fisher_yates_words
+
 perm_pairs = st.integers(1, 6).flatmap(
     lambda n: st.tuples(
         st.permutations(list(range(1, n + 1))), st.permutations(list(range(1, n + 1)))
@@ -30,14 +33,18 @@ def random_pair(n, seed, trial=0):
     return sample_uniform(n, stream), sample_uniform(n, stream)
 
 
-def chainstat_words(n, trials, seed):
-    """Replay the chainstat-v2 draw: block k of 256 trials permutes each row
-    of a (trials in block) x n int16 tile of 1..n with trial_stream(seed, k)."""
-    blocks = []
+def chainstat_words(n, trials, seed, r0, r1):
+    """Replay the chainstat-v3 draw as full permutations: block k of 256
+    trials draws the r1 - r0 window rows of each trial from
+    trial_stream(seed, k), which become rows (r0, r1]; the values not drawn
+    fill the other rows in list order."""
+    words = []
     for lo in range(0, trials, 256):
-        tile = np.tile(np.arange(1, n + 1, dtype=np.int16), (min(256, trials - lo), 1))
-        blocks.append(trial_stream(seed, lo // 256).permuted(tile, axis=1))
-    return np.concatenate(blocks)
+        g = trial_stream(seed, lo // 256)
+        for w in fisher_yates_words(n, r1 - r0, min(256, trials - lo), g):
+            rest = w[r1 - r0 :]
+            words.append(rest[:r0] + w[: r1 - r0] + rest[r0:])
+    return np.array(words)
 
 
 def window_args(stat, n, x, y):
@@ -199,6 +206,16 @@ class TestMaxStats:
         summary = max_strip_stat(64, 8, 64, 20, 4)
         assert summary.mean == 0.0
 
+    def test_window_draw_memory_is_bounded(self):
+        # a 2-row window at n = 65536 draws 2 rows per trial, in sub-batches
+        tracemalloc.start()
+        try:
+            max_rect_stat(65536, 8, 8, 256, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20, peak
+
     def test_strip_max_monotone_in_width(self):
         # per-trial: the max over nested windows can only grow
         stream = trial_stream(11)
@@ -241,7 +258,7 @@ class TestMaxStats:
         for n, x, y, trials, seed in STAT_CASES:
             window = window_args(stat, n, x, y)
             r0, r1, first, y0, y1 = window
-            words = chainstat_words(n, trials, seed)
+            words = chainstat_words(n, trials, seed, r0, r1)
             expected = [table_window_stat(w, *window) for w in words]
             if n <= 64:
                 assert expected == [rect_sum_window_stat(w, *window) for w in words]
