@@ -132,7 +132,8 @@ def _broadcast(values: list[int], count: int, name: str) -> list[int]:
     if len(values) == 1:
         return values * count
     if len(values) != count:
-        raise ConfigError(f"{name}: expected 1 or {count} values, got {len(values)}")
+        expected = "1 value" if count == 1 else f"1 or {count} values"
+        raise ConfigError(f"{name}: expected {expected}, got {len(values)}")
     return values
 
 

@@ -12,15 +12,18 @@ rows come from a row-by-row Fisher-Yates shuffle over per-pair pools of
 unused values: comparability draws a row only for the pairs still alive,
 and box persistence draws its window's rows for every pair before its scan
 so that its floors stay coupled, then scans from the window's first row
-on.  Pair index draws use the draw dtype (int16, or int32 from n = 2^15),
-which is part of the stream layout; pools and Z cells use a cell dtype
-that only needs to hold [-n, n] (int8 below n = 128), which changes no
-result.  Sheet borders are drawn only for the trials still alive.  Each
-fixed-size block of trials draws from one counter-based stream keyed by
-(seed, block index), and one scan, pair or sheet, carries up to four
-blocks at once, so that a scan's fixed cost per step is shared; results
-are bit-identical no matter how many workers execute the blocks or how
-scans group them.  Pool workers fork with numpy.random already loaded.
+on.  Comparability decides rows 1 and 2 from the drawn indices by sorted
+prefixes, builds pools and Z only for the pairs alive after row 2, and
+stops at row n - 1, since Z(n, .) is 0.  Pair index draws use the draw
+dtype (int16, or int32 from n = 2^15), which is part of the stream layout;
+pools and Z cells use a cell dtype that only needs to hold [-n, n] (int8
+below n = 128), which changes no result.  Sheet borders are drawn only
+for the trials still alive.  Each fixed-size block of trials draws from
+one counter-based stream keyed by (seed, block index), and one scan, pair
+or sheet, carries up to four blocks at once, so that a scan's fixed cost
+per step is shared; results are bit-identical no matter how many workers
+execute the blocks or how scans group them.  Pool workers fork with
+numpy.random already loaded.
 """
 from __future__ import annotations
 
@@ -144,7 +147,20 @@ def _pair_block(
     draw dtype (int16 below n = 2^15, else int32), which is part of mc-v3.
     Pools and Z cells use a cell dtype that only needs to hold [-n, n] (int8
     below n = 128, else the draw dtype), which changes no result; a row of Z
-    is a (len(cols), alive) array, one column per pair.
+    is a (len(cols), alive) array, one column per pair.  A pair's pools sit
+    at its slot: pools[slot * 2n : (slot + 1) * 2n], p's pool then t's.
+
+    The comparability question (floor 0 on columns 1..n, lazy draws)
+    decides rows 1 and 2 from the drawn indices alone, by the tableau
+    criterion: Z(a, .) >= 0 exactly when the sorted p(1..a) is entrywise at
+    most the sorted t(1..a).  Row 1 takes the values j_p, j_t from the
+    untouched pools and checks the one cell t(1) - p(1); row 2 takes 1 + j,
+    or 0 where 1 + j is that side's row-1 index (the row-1 swap moved 0
+    there), and checks min t - min p and max t - max p.  Only at row 3 do
+    the pairs still alive get pools, rows 1 and 2 replayed into them, and
+    Z(2, .); their slot is their place among those pairs.  The draws are
+    the same as with pools from row 1, so the count is too.  Every other
+    scan holds pools for all its pairs from the start, slot = pair.
 
     By default row a is drawn only for the pairs still alive after row
     a - 1: each block with k of them alive draws by two calls
@@ -163,6 +179,8 @@ def _pair_block(
     dtype = np.int16 if n < 2 ** 15 else np.int32
     cell = np.int8 if n < 128 else dtype
     b = np.arange(cols.start - 1, cols.stop - 1, dtype=cell)[:, None]  # 0-based b - 1, a column
+    # the comparability question: rows 1 and 2 from the indices, pools from row 3
+    late_pools = not upfront and first == 1 and cols == range(1, n + 1) and floor_level == 0
     batch = max(1, _PAIR_DRAW // n)
     blocks = [(trial_stream(seed, start // _MC_BLOCK), min(start + _MC_BLOCK, hi) - start)
               for start in range(lo, hi, _MC_BLOCK)]
@@ -174,18 +192,29 @@ def _pair_block(
         streams = [g for g, _ in scan]
         bounds = np.cumsum([0] + [size for _, size in scan]).tolist()
         count = bounds[-1]
-        pools = np.tile(np.arange(n, dtype=cell), 2 * count)  # each pair's p pool, then its t pool
+        slot = np.arange(count)  # each pair's place in pools
+        pools = None if late_pools else np.tile(np.arange(n, dtype=cell), 2 * count)  # p pool, then t pool
         if upfront:
             highs = n - np.arange(last)[:, None, None]  # n + 1 - a for rows a = 1..last
             drawn = np.concatenate(
                 [g.integers(0, highs, size=(last, 2, size), dtype=dtype) for g, size in scan], axis=2
             )
+        elif late_pools:
+            drawn = np.empty((2, 2, count), dtype)  # rows 1 and 2, kept until the pools exist
 
         def draw(a, idx, j):
             # (p(a) - 1, t(a) - 1) for the pairs idx, from the (2, alive) pool indices j
-            return fisher_yates_step(pools, idx * (2 * n) + np.array([[a - 1], [n + a - 1]]), j)
+            return fisher_yates_step(pools, slot[idx] * (2 * n) + np.array([[a - 1], [n + a - 1]]), j)
+
+        def cells(vp, vt, z):
+            # Z(a, .) on cols: Z(a - 1, .) (None for zeros, else updated in
+            # place) plus [b >= p(a)] - [b >= t(a)], from bools read as bytes
+            inc = np.greater_equal(b, vp).view(np.int8)
+            inc -= (b >= vt).view(np.int8)
+            return inc.astype(cell, copy=False) if z is None else np.add(z, inc, out=z)
 
         def row(a, idx, z):
+            nonlocal pools
             if upfront:
                 j = drawn[a - 1][:, idx]
             else:
@@ -193,10 +222,23 @@ def _pair_block(
                 for g, s, e in _block_runs(streams, bounds, idx):  # p's indices, then t's
                     j[0, s:e] = g.integers(0, n - a + 1, size=e - s, dtype=dtype)
                     j[1, s:e] = g.integers(0, n - a + 1, size=e - s, dtype=dtype)
-            vp, vt = draw(a, idx, j)
-            inc = np.greater_equal(b, vp, out=np.empty((b.size, idx.size), cell))
-            inc -= b >= vt
-            return inc if z is None else np.add(inc, z, out=inc)
+            if late_pools and a == 1:  # the pools still hold 0..n-1: the values are the indices
+                drawn[0] = j
+                return j[1:] - j[:1]  # t(1) - p(1)
+            if late_pools and a == 2:  # 1 + j, or 0 where the row-1 swap moved 0 there
+                drawn[1, 0, idx], drawn[1, 1, idx] = j  # per side: a (2, k) scatter is slow
+                one = drawn[0].take(idx, axis=1)
+                two = j + 1
+                two[two == one] = 0
+                low, high = np.minimum(one, two), np.maximum(one, two)
+                return np.stack([low[1] - low[0], high[1] - high[0]])  # sorted t - sorted p
+            if late_pools and a == 3:  # pools, and Z(2, .), for the pairs alive after row 2 only
+                slot[idx] = np.arange(idx.size)
+                pools = np.tile(np.arange(n, dtype=cell), 2 * idx.size)
+                one, two = drawn.take(idx, axis=2)
+                z = cells(*draw(1, idx, one), None)
+                z = cells(*draw(2, idx, two), z)
+            return cells(*draw(a, idx, j), z)
 
         z = None
         if first > 1:  # Z(first - 1, b) = #{p(i) <= b} - #{t(i) <= b} over i < first
@@ -216,13 +258,15 @@ def estimate_comparability(n: int, trials: int, seed: int, workers: int = 1) -> 
     """Estimate P(p <= t) for independent uniform permutations of [n].
 
     Z(a, b) must stay >= 0 on every row and column; the batched scan drops a
-    pair at its first failing row, so failed comparisons stay cheap.
+    pair at its first failing row, so failed comparisons stay cheap.  Row n
+    is not scanned: Z(n, .) is 0, and its range-1 draws take nothing from
+    the stream.
     """
     if n < 1 or trials < 1:
         raise ValueError(f"need n >= 1 and trials >= 1, got n={n} trials={trials}")
     start = time.perf_counter()
     fn = partial(
-        _pair_block, seed=seed, n=n, last=n, first=1, cols=range(1, n + 1),
+        _pair_block, seed=seed, n=n, last=n - 1, first=1, cols=range(1, n + 1),
         floor_level=0,
     )
     succ = sum(run_blocks(trials, _task_size(_MC_BLOCK, trials, workers), fn, workers))

@@ -452,6 +452,18 @@ def test_nonpositive_workers_is_config_error(capsys, argv, workers):
 
 
 @pytest.mark.parametrize(
+    "sizes, expected",
+    [("4", "expected 1 value, got 2"), ("4,5,6", "expected 1 or 3 values, got 2")],
+    ids=["one-size", "three-sizes"],
+)
+def test_trials_count_mismatch_is_config_error(capsys, sizes, expected):
+    # one --n size once read "expected 1 or 1 values"
+    code, out, err = run(capsys, "mc", "--n", sizes, "--trials", "10,20", "--seed", "1")
+    assert code == EXIT_CONFIG and out == ""
+    assert err.count("\n") == 1 and f"--trials: {expected}" in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["mc", "--n", ",", "--trials", "10", "--seed", "1"],

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -122,7 +123,7 @@ def as_perm(values):
 
 
 class TestSurvivalKernel:
-    @pytest.mark.parametrize("n", [1, 2, 5, 12, 100, 127, 128])
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 100, 127, 128, 3, 4])
     def test_comparability_matches_strong_order_oracle(self, n):
         # n = 100 spans two sub-batches: 2621 pairs, then 379; Z cells are
         # int8 up to n = 127 and int16 from n = 128
@@ -224,6 +225,19 @@ class TestComparabilityEstimator:
         r = estimate_comparability(1, 100, 0)
         assert r.p_hat == 1.0 and r.successes == 100
 
+    def test_comparability_pools_only_for_row_two_survivors(self):
+        # rows 1 and 2 are decided from the drawn indices, so pools and Z
+        # exist only for the ~30% of pairs alive after row 2; the int8
+        # pools of all 16384 pairs alone would take 2 MiB, their Z 1 MiB more
+        estimate_comparability(64, 16384, 8)  # warm up numpy's allocations
+        tracemalloc.start()
+        try:
+            estimate_comparability(64, 16384, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+
     def test_ci_contains_exact_n3(self):
         r = estimate_comparability(3, 200_000, 11)
         assert r.ci_low <= 19 / 36 <= r.ci_high
@@ -234,7 +248,7 @@ class TestComparabilityEstimator:
         keep = ("n", "trials", "successes", "p_hat", "ci_low", "ci_high", "seed")
         assert {k: getattr(a, k) for k in keep} == {k: getattr(b, k) for k in keep}
 
-    @pytest.mark.parametrize("n", [12, 100])
+    @pytest.mark.parametrize("n", [12, 100, 3])
     def test_task_grouping_changes_no_count(self, n):
         # n = 100 draws each block in two sub-batches (2621 + 1475 pairs)
         fn = partial(_pair_block, seed=4, n=n, last=n, first=1, cols=range(1, n + 1), floor_level=0)

@@ -21,11 +21,15 @@ from bruhatmc.zprocess import (
 
 from oracles import fisher_yates_words
 
-perm_pairs = st.integers(1, 6).flatmap(
-    lambda n: st.tuples(
-        st.permutations(list(range(1, n + 1))), st.permutations(list(range(1, n + 1)))
+def perm_pairs_up_to(top):
+    return st.integers(1, top).flatmap(
+        lambda n: st.tuples(
+            st.permutations(list(range(1, n + 1))), st.permutations(list(range(1, n + 1)))
+        )
     )
-)
+
+
+perm_pairs = perm_pairs_up_to(6)
 
 
 def random_pair(n, seed, trial=0):
@@ -129,6 +133,30 @@ class TestZTable:
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             z_table(Permutation.identity(3), Permutation.identity(4))
+
+
+def sorted_prefix_dominance(p, t, a):
+    """The tableau criterion: sorted p(1..a) <= sorted t(1..a) entrywise."""
+    return all(x <= y for x, y in zip(sorted(p.values[:a]), sorted(t.values[:a])))
+
+
+class TestTableauCriterion:
+    # row a of Z stays >= 0 exactly when the sorted prefixes dominate
+    # (Bjorner-Brenti, Combinatorics of Coxeter Groups, Thm 2.1.5)
+    def test_exhaustive_s4(self):
+        perms = all_perms(4)
+        for p in perms:
+            for t in perms:
+                z = z_table(p, t).z
+                for a in range(1, 5):
+                    assert (z[a, 1:].min() >= 0) == sorted_prefix_dominance(p, t, a), (p, t, a)
+
+    @given(perm_pairs_up_to(30))
+    def test_first_two_rows_up_to_n30(self, words):
+        p, t = Permutation(tuple(words[0])), Permutation(tuple(words[1]))
+        z = z_table(p, t).z
+        for a in range(1, min(2, p.n) + 1):
+            assert (z[a, 1:].min() >= 0) == sorted_prefix_dominance(p, t, a)
 
 
 class TestPersistenceEquivalence:
