@@ -2,8 +2,8 @@
 
 Probabilities are exact rationals wherever the parameters allow big-integer
 binomials cheaply; the large-parameter paths go through mpmath log-gamma at
-60 significant digits, so every floating result here carries relative error
-far below 1e-10.
+60 significant digits, or more where n has many digits, so every floating
+result here carries relative error far below 1e-10.
 """
 from __future__ import annotations
 
@@ -218,13 +218,13 @@ def frame_conditional_params(
 
 
 def _int_floor_root_power(n: int, num: int, den: int) -> int:
-    """floor(n**(num/den)) computed exactly on integers."""
-    guess = int(round(n ** (num / den)))
-    while (guess + 1) ** den <= n ** num:
-        guess += 1
-    while guess ** den > n ** num:
-        guess -= 1
-    return guess
+    """floor(n**(num/den)) for n >= 1, computed exactly on integers: Newton's
+    method for the den-th root of n**num, from a power of two above it."""
+    m = n ** num
+    root = 1 << -(-m.bit_length() // den)
+    while (step := ((den - 1) * root + m // root ** (den - 1)) // den) < root:
+        root = step
+    return root
 
 
 def submatrix_side(n: int) -> int:
@@ -234,7 +234,8 @@ def submatrix_side(n: int) -> int:
 
 def bernoulli_ratio(n: int, k: int) -> RatioResult:
     """Exact pmf ratio P(HyperGeom(n, N, N) = k) / P(Binomial(N^2, 1/n) = k)
-    with N = floor(n^(7/12)), evaluated in 60-digit arithmetic.
+    with N = floor(n^(7/12)), evaluated with 60 + 2 * (digits of n)
+    significant digits, so the log-gamma differences keep 60 of them.
 
     The comparison is meaningful for k up to n^(1/5); beyond that the result
     carries ``regime_ok=False``.
@@ -247,7 +248,7 @@ def bernoulli_ratio(n: int, k: int) -> RatioResult:
     regime_ok = k ** 5 <= n
     import mpmath  # imported on first use, as in hypergeom_pmf
 
-    with mpmath.workdps(_MP_DPS):
+    with mpmath.workdps(_MP_DPS + 2 * (int(math.log10(n)) + 1)):
         log_hyper = _logcomb(N, k) + _logcomb(n - N, N - k) - _logcomb(n, N)
         log_binom = (
             _logcomb(N * N, k)

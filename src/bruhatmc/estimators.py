@@ -6,24 +6,26 @@ kernel, _survivors, a loop of steps that each extend the field by a few
 cells for the trials still alive and drop a trial at the first step where
 it fails.  The kernel holds its cells cells-major: cells on axis 0, trials
 on axis 1, so the floor check, the compaction and the prefix sums work on
-whole rows of trials.  For a permutation pair a step is one row of Z; for
-a sheet it is the border that grows the k-1 x k-1 square to k x k.  Pair
-rows come from a row-by-row Fisher-Yates shuffle over per-pair pools of
-unused values: comparability draws a row only for the pairs still alive,
-and box persistence draws its window's rows for every pair before its scan
-so that its floors stay coupled, then scans from the window's first row
-on.  Comparability decides rows 1 and 2 from the drawn indices by sorted
-prefixes, builds pools and Z only for the pairs alive after row 2, and
-stops at row n - 1, since Z(n, .) is 0.  Pair index draws use the draw
-dtype (int16, or int32 from n = 2^15), which is part of the stream layout;
-pools and Z cells use a cell dtype that only needs to hold [-n, n] (int8
-below n = 128), which changes no result.  Sheet borders are drawn only
-for the trials still alive.  Each fixed-size block of trials draws from
-one counter-based stream keyed by (seed, block index), and one scan, pair
-or sheet, carries up to four blocks at once, so that a scan's fixed cost
-per step is shared; results are bit-identical no matter how many workers
-execute the blocks or how scans group them.  Pool workers fork with
-numpy.random already loaded.
+whole rows of trials.  For a permutation pair a step is one row of Z, and
+both pair scans add it by one row update, _z_row; for a sheet it is the
+border that grows the k-1 x k-1 square to k x k.  Comparability draws a
+row only for the pairs still alive, by a row-by-row Fisher-Yates shuffle
+over per-pair pools of unused values; it decides rows 1 and 2 from the
+drawn indices by sorted prefixes, builds pools and Z only for the pairs
+alive after row 2, and stops at row n - 1, since Z(n, .) is 0.  Its index
+draws use the draw dtype (int16, or int32 from n = 2^15), which is part of
+the stream layout; pools and Z cells use a cell dtype that only needs to
+hold [-n, n] (int8 below n = 128), which changes no result.  Box
+persistence draws its window's rows for every pair before its scan with
+perms.permutation_rows, so that its floors stay coupled, builds Z at the
+row before the window in one count, and scans the window's rows.  Sheet
+borders are drawn only for the trials still alive.  Each fixed-size block
+of trials draws from one counter-based stream keyed by (seed, block
+index); a comparability or sheet scan carries up to four blocks at once,
+so that a scan's fixed cost per step is shared, and a box persistence scan
+one.  Results are bit-identical no matter how many workers execute the
+blocks or how scans group them.  Pool workers fork with numpy.random
+already loaded.
 """
 from __future__ import annotations
 
@@ -37,13 +39,13 @@ from functools import partial
 import numpy as np
 
 from ._parallel import run_blocks
-from .perms import fisher_yates_step, prefix_sums, trial_stream
+from .perms import fisher_yates_step, permutation_rows, prefix_sums, trial_stream
 
 _Z95 = 1.959963984540054  # normal 97.5% quantile for Wilson intervals
 _MC_BLOCK = 4096  # pairs per block (comparability / box persistence); each block owns one stream
 _SHEET_BLOCK = 8192  # trials per sheet block; each block owns one stream
-_TASK_BLOCKS = 4  # most stream blocks one scan carries (bounds its memory)
-_PAIR_DRAW = 1 << 18  # p pool entries per sub-batch of a block (caps its pairs at this // n)
+_TASK_BLOCKS = 4  # most stream blocks one comparability or sheet scan carries (bounds its memory)
+_PAIR_DRAW = 1 << 18  # caps a sub-batch at this // n pairs (pools), or // max(rows, columns) (box windows)
 LOW_COUNT_THRESHOLD = 20
 
 
@@ -128,59 +130,50 @@ def _task_size(block: int, trials: int, workers: int) -> int:
     return block * min(_TASK_BLOCKS, -(-blocks // max(1, workers)))
 
 
-def _pair_block(
-    lo: int, hi: int, seed: int, n: int, last: int, first: int, cols: range, floor_level: float,
-    upfront: bool = False,
-) -> int:
-    """Successes among pairs (p, t) lo..hi-1, which may span several blocks.
+def _z_row(b: np.ndarray, vp: np.ndarray, vt: np.ndarray, z: np.ndarray | None) -> np.ndarray:
+    """Row a of Z on the columns ``b`` (a column in the cell dtype) for the
+    pairs whose row-a values, on b's scale, are vp and vt: Z(a - 1, .)
+    (None for zeros, else updated in place) plus [b >= p(a)] - [b >= t(a)],
+    from bools read as bytes.  Cells-major: one column per pair."""
+    inc = np.greater_equal(b, vp).view(np.int8)
+    inc -= (b >= vt).view(np.int8)
+    return inc.astype(b.dtype, copy=False) if z is None else np.add(z, inc, out=z)
 
-    Step a of a scan is row a of Z on the columns b in ``cols``: row a - 1
-    plus the increment [b >= p(a)] - [b >= t(a)], whose entries already hold
-    their whole row prefix.  The scan checks rows ``first``..``last``.
-    Each block's pairs come from its own trial_stream(seed, block) in
-    sub-batches of at most _PAIR_DRAW // n pairs, drawn row by row by a
-    Fisher-Yates shuffle (CSV schema mc-v3); scan i carries sub-batch i of
-    every block, so each stream still yields its sub-batches in order.
-    Each pair keeps two pools of unused values, one for p and one for t,
-    both starting as 0..n-1; row a takes p(a) by fisher_yates_step with an
-    index uniform on 0..n-a, then t(a) likewise.  Indices are drawn in the
-    draw dtype (int16 below n = 2^15, else int32), which is part of mc-v3.
-    Pools and Z cells use a cell dtype that only needs to hold [-n, n] (int8
-    below n = 128, else the draw dtype), which changes no result; a row of Z
-    is a (len(cols), alive) array, one column per pair.  A pair's pools sit
-    at its slot: pools[slot * 2n : (slot + 1) * 2n], p's pool then t's.
 
-    The comparability question (floor 0 on columns 1..n, lazy draws)
-    decides rows 1 and 2 from the drawn indices alone, by the tableau
+def _pair_block(lo: int, hi: int, seed: int, n: int) -> int:
+    """Comparable pairs (p <= t) among pairs lo..hi-1, which may span several
+    blocks.
+
+    Step a of a scan is row a of Z on columns 1..n (_z_row), checked at
+    floor 0 for rows 1..n - 1.  Each block's pairs come from its own
+    trial_stream(seed, block) in sub-batches of at most _PAIR_DRAW // n
+    pairs, drawn row by row by a Fisher-Yates shuffle (CSV schema mc-v3);
+    scan i carries sub-batch i of every block, so each stream still yields
+    its sub-batches in order.  Row a is drawn only for the pairs still
+    alive after row a - 1: each block with k of them alive draws by two
+    calls integers(0, n - a + 1, size=k), the p indices, then the t
+    indices, in the draw dtype (int16 below n = 2^15, else int32), which is
+    part of mc-v3.  Index j takes the value at place j of that side's pool
+    of unused values, which starts as 0..n-1 (fisher_yates_step).
+
+    Rows 1 and 2 are decided from the drawn indices alone, by the tableau
     criterion: Z(a, .) >= 0 exactly when the sorted p(1..a) is entrywise at
     most the sorted t(1..a).  Row 1 takes the values j_p, j_t from the
     untouched pools and checks the one cell t(1) - p(1); row 2 takes 1 + j,
     or 0 where 1 + j is that side's row-1 index (the row-1 swap moved 0
     there), and checks min t - min p and max t - max p.  Only at row 3 do
     the pairs still alive get pools, rows 1 and 2 replayed into them, and
-    Z(2, .); their slot is their place among those pairs.  The draws are
-    the same as with pools from row 1, so the count is too.  Every other
-    scan holds pools for all its pairs from the start, slot = pair.
-
-    By default row a is drawn only for the pairs still alive after row
-    a - 1: each block with k of them alive draws by two calls
-    integers(0, n - a + 1, size=k), the p indices, then the t indices.  A
-    pair costs draws up to the row where it fails, and a stream depends on
-    which of its block's pairs fail.  With ``upfront`` each block draws the
-    indices of rows 1..``last`` for every pair of its sub-batch in one call
-    of shape (last, 2, count) before the scan (row by row, p's then t's),
-    so the pairs do not depend on the floor: box persistence couples its
-    floors this way, across sub-batches too.  Rows before ``first`` then
-    only move pool entries, and Z(first - 1, .) on ``cols`` comes from one
-    count of the values they drew.  A block's draws depend only on its own
-    pairs, so the count is the same for any grouping of blocks into tasks
-    and any worker count.  ``lo`` must start a block.
+    Z(2, .).  A pair's pools sit at its slot, its place among those pairs:
+    pools[slot * 2n : (slot + 1) * 2n], p's pool then t's.  Pools and Z
+    cells use a cell dtype that only needs to hold [-n, n] (int8 below
+    n = 128, else the draw dtype), which changes no result.  A block's
+    draws depend only on its own pairs, so the count is the same for any
+    grouping of blocks into tasks and any worker count.  ``lo`` must start
+    a block.
     """
     dtype = np.int16 if n < 2 ** 15 else np.int32
     cell = np.int8 if n < 128 else dtype
-    b = np.arange(cols.start - 1, cols.stop - 1, dtype=cell)[:, None]  # 0-based b - 1, a column
-    # the comparability question: rows 1 and 2 from the indices, pools from row 3
-    late_pools = not upfront and first == 1 and cols == range(1, n + 1) and floor_level == 0
+    b = np.arange(n, dtype=cell)[:, None]  # 0-based b - 1, a column
     batch = max(1, _PAIR_DRAW // n)
     blocks = [(trial_stream(seed, start // _MC_BLOCK), min(start + _MC_BLOCK, hi) - start)
               for start in range(lo, hi, _MC_BLOCK)]
@@ -191,66 +184,84 @@ def _pair_block(
             break
         streams = [g for g, _ in scan]
         bounds = np.cumsum([0] + [size for _, size in scan]).tolist()
-        count = bounds[-1]
-        slot = np.arange(count)  # each pair's place in pools
-        pools = None if late_pools else np.tile(np.arange(n, dtype=cell), 2 * count)  # p pool, then t pool
-        if upfront:
-            highs = n - np.arange(last)[:, None, None]  # n + 1 - a for rows a = 1..last
-            drawn = np.concatenate(
-                [g.integers(0, highs, size=(last, 2, size), dtype=dtype) for g, size in scan], axis=2
-            )
-        elif late_pools:
-            drawn = np.empty((2, 2, count), dtype)  # rows 1 and 2, kept until the pools exist
+        drawn = np.empty((2, 2, bounds[-1]), dtype)  # rows 1 and 2, kept until the pools exist
+        slot = np.empty(bounds[-1], np.intp)
+        pools = None
 
         def draw(a, idx, j):
             # (p(a) - 1, t(a) - 1) for the pairs idx, from the (2, alive) pool indices j
             return fisher_yates_step(pools, slot[idx] * (2 * n) + np.array([[a - 1], [n + a - 1]]), j)
 
-        def cells(vp, vt, z):
-            # Z(a, .) on cols: Z(a - 1, .) (None for zeros, else updated in
-            # place) plus [b >= p(a)] - [b >= t(a)], from bools read as bytes
-            inc = np.greater_equal(b, vp).view(np.int8)
-            inc -= (b >= vt).view(np.int8)
-            return inc.astype(cell, copy=False) if z is None else np.add(z, inc, out=z)
-
         def row(a, idx, z):
             nonlocal pools
-            if upfront:
-                j = drawn[a - 1][:, idx]
-            else:
-                j = np.empty((2, idx.size), dtype)
-                for g, s, e in _block_runs(streams, bounds, idx):  # p's indices, then t's
-                    j[0, s:e] = g.integers(0, n - a + 1, size=e - s, dtype=dtype)
-                    j[1, s:e] = g.integers(0, n - a + 1, size=e - s, dtype=dtype)
-            if late_pools and a == 1:  # the pools still hold 0..n-1: the values are the indices
+            j = np.empty((2, idx.size), dtype)
+            for g, s, e in _block_runs(streams, bounds, idx):  # p's indices, then t's
+                j[0, s:e] = g.integers(0, n - a + 1, size=e - s, dtype=dtype)
+                j[1, s:e] = g.integers(0, n - a + 1, size=e - s, dtype=dtype)
+            if a == 1:  # the pools still hold 0..n-1: the values are the indices
                 drawn[0] = j
                 return j[1:] - j[:1]  # t(1) - p(1)
-            if late_pools and a == 2:  # 1 + j, or 0 where the row-1 swap moved 0 there
+            if a == 2:  # 1 + j, or 0 where the row-1 swap moved 0 there
                 drawn[1, 0, idx], drawn[1, 1, idx] = j  # per side: a (2, k) scatter is slow
                 one = drawn[0].take(idx, axis=1)
                 two = j + 1
                 two[two == one] = 0
                 low, high = np.minimum(one, two), np.maximum(one, two)
                 return np.stack([low[1] - low[0], high[1] - high[0]])  # sorted t - sorted p
-            if late_pools and a == 3:  # pools, and Z(2, .), for the pairs alive after row 2 only
+            if a == 3:  # pools, and Z(2, .), for the pairs alive after row 2 only
                 slot[idx] = np.arange(idx.size)
-                pools = np.tile(np.arange(n, dtype=cell), 2 * idx.size)
+                pools = np.tile(np.arange(n, dtype=cell), 2 * idx.size)  # p pool, then t pool
                 one, two = drawn.take(idx, axis=2)
-                z = cells(*draw(1, idx, one), None)
-                z = cells(*draw(2, idx, two), z)
-            return cells(*draw(a, idx, j), z)
+                z = _z_row(b, *draw(1, idx, one), None)
+                z = _z_row(b, *draw(2, idx, two), z)
+            return _z_row(b, *draw(a, idx, j), z)
 
-        z = None
-        if first > 1:  # Z(first - 1, b) = #{p(i) <= b} - #{t(i) <= b} over i < first
-            every = np.arange(count)
-            done = np.array([draw(a, every, drawn[a - 1]) for a in range(1, first)])
-            top = cols.stop - 1  # values from here on count in no column of the window
-            keys = np.minimum(done, top) + every * (top + 1)  # (first - 1, 2, count): a pair's own bins
-            counts = np.bincount(keys[:, 0].ravel(), minlength=count * (top + 1))
-            counts -= np.bincount(keys[:, 1].ravel(), minlength=count * (top + 1))
-            z = counts.reshape(count, top + 1)[:, :top].cumsum(axis=1)[:, cols.start - 1 :]
-            z = z.T.astype(cell, order="C")  # cells-major, like the rows
-        succ += _survivors(row, range(first, last + 1), floor_level, count, z)
+        succ += _survivors(row, range(1, n), 0, bounds[-1])
+    return succ
+
+
+def _window_z(p: np.ndarray, t: np.ndarray, cols: range) -> np.ndarray:
+    """Z(a, b) for b in ``cols``, cells-major, from the values p(1..a) and
+    t(1..a) of each pair, an (a, pairs) array per side:
+    #{i <= a : p(i) <= b} - #{i <= a : t(i) <= b}, from one count per side
+    in each pair's own bins, one per column (values below the window count
+    in the first) and one for the values above it."""
+    count, width = p.shape[1], len(cols) + 1
+    offsets = np.arange(count) * width - cols.start
+    bins, t_bins = (
+        np.bincount((np.clip(v, cols.start, cols.stop) + offsets).ravel(), minlength=count * width)
+        for v in (p, t)
+    )
+    bins -= t_bins
+    return np.cumsum(bins.reshape(count, width), axis=1, out=bins.reshape(count, width))[:, :-1].T
+
+
+def _box_block(lo: int, hi: int, seed: int, n: int, x: int, cols: range, floor_level: int) -> int:
+    """Pairs among lo..hi-1, one block, whose Z stays >= floor_level on rows
+    x..5x/4 and columns ``cols``.
+
+    The block draws from trial_stream(seed, block) in sub-batches of at most
+    _PAIR_DRAW // max(5x/4, len(cols)) pairs, so a sub-batch's rows and its
+    Z stay under a fixed number of cells for any n: rows 1..5x/4 of every
+    pair's p, then of every t, by permutation_rows, before the scan, so that
+    every floor sees the same pairs.  Z(x - 1, .) on ``cols`` comes from
+    one count of the values of rows 1..x - 1, and each step adds one row's
+    stored values for the pairs still alive (_z_row).
+    """
+    last = 5 * x // 4
+    cell = np.int8 if n < 128 else (np.int16 if n < 2 ** 15 else np.int32)
+    b = np.arange(cols.start, cols.stop, dtype=cell)[:, None]
+    g = trial_stream(seed, lo // _MC_BLOCK)
+    batch = max(1, _PAIR_DRAW // max(last, len(cols)))
+    succ = 0
+    for start in range(lo, hi, batch):
+        count = min(batch, hi - start)
+        p, t = (permutation_rows(n, last, count, g).T for _ in range(2))  # (last, count) each
+        z = _window_z(p[: x - 1], t[: x - 1], cols).astype(cell, order="C")
+        succ += _survivors(
+            lambda a, idx, z: _z_row(b, p[a - 1].take(idx), t[a - 1].take(idx), z),
+            range(x, last + 1), floor_level, count, z,
+        )
     return succ
 
 
@@ -265,10 +276,7 @@ def estimate_comparability(n: int, trials: int, seed: int, workers: int = 1) -> 
     if n < 1 or trials < 1:
         raise ValueError(f"need n >= 1 and trials >= 1, got n={n} trials={trials}")
     start = time.perf_counter()
-    fn = partial(
-        _pair_block, seed=seed, n=n, last=n - 1, first=1, cols=range(1, n + 1),
-        floor_level=0,
-    )
+    fn = partial(_pair_block, seed=seed, n=n)
     succ = sum(run_blocks(trials, _task_size(_MC_BLOCK, trials, workers), fn, workers))
     return EstimateResult.from_counts(n, trials, succ, seed, time.perf_counter() - start)
 
@@ -283,12 +291,9 @@ def estimate_box_persistence(
     if c_log < 0 or trials < 1:
         raise ValueError(f"need c_log >= 0 and trials >= 1, got {c_log}, {trials}")
     start = time.perf_counter()
-    fn = partial(
-        _pair_block, seed=seed, n=n, last=min((5 * x) // 4, n), first=x,
-        cols=range(y, min((5 * y) // 4, n) + 1), floor_level=math.ceil(-c_log * math.log(n)),
-        upfront=True,
-    )
-    succ = sum(run_blocks(trials, _task_size(_MC_BLOCK, trials, workers), fn, workers))
+    cols = range(y, 5 * y // 4 + 1)
+    fn = partial(_box_block, seed=seed, n=n, x=x, cols=cols, floor_level=math.ceil(-c_log * math.log(n)))
+    succ = sum(run_blocks(trials, _MC_BLOCK, fn, workers))
     return EstimateResult.from_counts(n, trials, succ, seed, time.perf_counter() - start)
 
 
@@ -580,22 +585,27 @@ def li_shao_sum(rho: int, index_range: int = 200) -> LiShaoResult:
 
     The kernel rho^(-|i-a|/2 - |j-b|/2) factorizes, so the supremum over
     (i, j) of the truncated double sum is the square of the maximal
-    one-dimensional sum, the centre row's, in O(index_range) memory; the
-    doubly infinite sum has the exact closed form
+    one-dimensional sum, the centre row's.  That sum stops at the first
+    term that is exactly 0.0 in floats, so its cost is bounded for any
+    index_range.  The doubly infinite sum has the exact closed form
     ((1 + rho^-1/2)/(1 - rho^-1/2))^2.
     """
     if rho < 2:
         raise ValueError(f"need rho >= 2, got {rho}")
     if index_range < 1:
         raise ValueError(f"need index_range >= 1, got {index_range}")
+    half_log = math.log(rho) / 2  # math.log takes ints of any size
+    r = math.exp(-half_log)  # rho^-1/2
     root = math.isqrt(rho)
     if root * root == rho:
         closed = (Fraction(root + 1, root - 1)) ** 2
     else:
-        r = rho ** -0.5
         closed = ((1 + r) / (1 - r)) ** 2
-    # the kernel matrix is Toeplitz and symmetric-unimodal, so its centre row sums largest
-    sup = float((rho ** (-np.abs(np.arange(-index_range, index_range + 1)) / 2.0)).sum()) ** 2
+    # the kernel matrix is Toeplitz and symmetric-unimodal, so its centre row
+    # sums largest: 1 + 2 (r + r^2 + ...), whose terms are exactly 0.0 from
+    # r^k < 2^-1075 on, that is from k >= 1075 ln 2 / ln(rho^1/2)
+    k = np.arange(1, min(index_range, math.ceil(1076 * math.log(2) / half_log)) + 1)
+    sup = float(1 + 2 * (r ** k).sum()) ** 2
     return LiShaoResult(
         rho=rho,
         index_range=index_range,

@@ -120,6 +120,16 @@ class TestBernratio:
         assert payload["submatrix_side"] == 215
         assert 0.9 < payload["ratio"] < 0.91
 
+    @pytest.mark.parametrize("digits, ratio", [(60, 0.999999999999999), (400, 1.0)])
+    def test_huge_n_is_finite(self, capsys, digits, ratio):
+        # the integer root of n^7 and a working precision that grows with
+        # the digits of n keep the ratio finite and near 1
+        code, out, _ = run(capsys, "bernratio", "--n", str(10**digits), "--k", "0")
+        payload = json.loads(out)
+        assert code == EXIT_OK
+        assert payload["submatrix_side"] ** 12 <= 10 ** (7 * digits) < (payload["submatrix_side"] + 1) ** 12
+        assert payload["ratio"] == pytest.approx(ratio, abs=1e-15)
+
 
 class TestMc:
     def test_stdout_csv(self, capsys):
@@ -420,6 +430,22 @@ class TestLishao:
         assert payload["closed_form"] == "441/361"
         assert payload["bound_satisfied"] is True
         assert payload["truncation_error"] < 1e-10
+
+    def test_huge_index_range_is_finite(self, capsys):
+        # the row sum stops at its first term that is exactly 0.0
+        code, out, _ = run(capsys, "lishao", "--rho", "400", "--index-range", str(10**11))
+        payload = json.loads(out)
+        assert code == EXIT_OK
+        assert payload["closed_form"] == "441/361"
+        assert payload["truncation_error"] < 1e-10
+
+    def test_huge_rho_is_finite(self, capsys):
+        # rho^-1/2 comes from ln(rho), which takes ints of any size
+        code, out, _ = run(capsys, "lishao", "--rho", str(10**400))
+        payload = json.loads(out)
+        assert code == EXIT_OK
+        assert payload["closed_form_float"] == payload["supremum_over_ij"] == 1.0
+        assert payload["bound_satisfied"] is True
 
 
 class TestFkg:

@@ -17,6 +17,7 @@ from bruhatmc.dists import (
     hypergeom_pmf,
     hypergeom_pmf_exact,
     hypergeom_sample,
+    submatrix_side,
 )
 from bruhatmc.perms import trial_stream
 from bruhatmc.zprocess import Rectangle
@@ -259,6 +260,13 @@ class TestBernoulliRatio:
     def test_submatrix_side(self):
         assert bernoulli_ratio(10_000, 0).submatrix_side == 215
         assert bernoulli_ratio(1_000_000, 0).submatrix_side == 3162
+
+    def test_submatrix_side_is_the_exact_floor(self):
+        # N^12 <= n^7 < (N + 1)^12, also next to powers of ten far past floats
+        sizes = list(range(1, 2000)) + [10**e + d for e in range(4, 400, 7) for d in (-1, 0, 1)]
+        for n in sizes:
+            side = submatrix_side(n)
+            assert side**12 <= n**7 < (side + 1) ** 12, n
 
     def test_closer_to_one_at_larger_n(self):
         small = abs(bernoulli_ratio(10_000, 0).ratio - 1)

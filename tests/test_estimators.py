@@ -9,6 +9,7 @@ import pytest
 from bruhatmc.estimators import (
     _MC_BLOCK,
     EstimateResult,
+    _box_block,
     _pair_block,
     _square_border,
     _survivors,
@@ -23,7 +24,7 @@ from bruhatmc.estimators import (
     wilson_interval,
 )
 from bruhatmc.order import EXACT_COUNT_CAP, exact_comparability_count, is_leq_strong
-from bruhatmc.perms import Permutation, trial_stream
+from bruhatmc.perms import Permutation, permutation_rows, trial_stream
 from bruhatmc.zprocess import z_table
 from fractions import Fraction
 
@@ -53,19 +54,16 @@ class TestWilson:
             wilson_interval(5, 4)
 
 
-def drawn_pairs(n, count, seed, window_rows=None):
-    """Replay, in plain Python, the pairs block 0 of the pair estimators draws
-    (schema mc-v3); count <= 4096 stays inside block 0.
+def drawn_pairs(n, count, seed):
+    """Replay, in plain Python, the pairs block 0 of estimate_comparability
+    draws (schema mc-v3); count <= 4096 stays inside block 0.
 
     Sub-batches hold at most (1 << 18) // n pairs.  Each pair keeps a pool
     for p and one for t, both 1..n; row a swaps pool[a - 1] with
     pool[a - 1 + j], j uniform on 0..n-a, so pool[:a] holds the row values
     drawn so far and pool[a:] the unused ones; every j is drawn in int16.
-    With ``window_rows`` = None (comparability) row a is drawn only for the
-    k pairs whose Z rows 1..a-1 all stayed >= 0, by two calls
-    integers(0, n - a + 1, size=k), p's then t's.  Otherwise (box
-    persistence) rows 1..window_rows are drawn for every pair, in one call
-    of shape (window_rows, 2, size) per sub-batch, before any row is used.
+    Row a is drawn only for the k pairs whose Z rows 1..a-1 all stayed
+    >= 0, by two calls integers(0, n - a + 1, size=k), p's then t's.
 
     Returns (p pool, t pool, rows drawn, Z rows drawn stayed >= 0) per pair.
     """
@@ -78,26 +76,42 @@ def drawn_pairs(n, count, seed, window_rows=None):
         zrow = [[0] * n for _ in range(size)]
         drawn = [0] * size
         alive = [True] * size
-        if window_rows is not None:
-            highs = n + 1 - np.arange(1, window_rows + 1)[:, None, None]
-            upfront = g.integers(0, highs, size=(window_rows, 2, size), dtype=np.int16).tolist()
-        for a in range(1, (window_rows or n) + 1):
-            if window_rows is None:
-                live = [i for i in range(size) if alive[i]]
-                if not live:
-                    break
-                js = [g.integers(0, n - a + 1, size=len(live), dtype=np.int16).tolist() for _ in range(2)]
-            else:
-                live, js = range(size), upfront[a - 1]
+        for a in range(1, n + 1):
+            live = [i for i in range(size) if alive[i]]
+            if not live:
+                break
+            js = [g.integers(0, n - a + 1, size=len(live), dtype=np.int16).tolist() for _ in range(2)]
             for k, i in enumerate(live):
                 for pool, j in zip(pools[i], (js[0][k], js[1][k])):
                     pool[a - 1], pool[a - 1 + j] = pool[a - 1 + j], pool[a - 1]
                 pa, ta = pools[i][0][a - 1], pools[i][1][a - 1]
                 zrow[i] = [z + (b >= pa) - (b >= ta) for b, z in enumerate(zrow[i], 1)]
                 drawn[i] = a
-                alive[i] = alive[i] and min(zrow[i]) >= 0
+                alive[i] = min(zrow[i]) >= 0
         out.extend(zip((p for p, _ in pools), (t for _, t in pools), drawn, alive))
     return out
+
+
+def box_pairs(n, x, y, count, seed):
+    """Replay with permutation_rows the pairs block 0 of box persistence
+    draws; count <= 4096 stays inside block 0.
+
+    Sub-batches hold at most (1 << 18) // max(5x/4, 5y/4 - y + 1) pairs and
+    draw rows 1..5x/4 of their p's, then of their t's.  Each drawn word is
+    completed to a permutation by its unused values in increasing order,
+    which changes no row of Z up to 5x/4.  Returns the (p, t) pairs and the
+    sub-batch sizes.
+    """
+    last = 5 * x // 4
+    g = trial_stream(seed, 0)
+    batch = (1 << 18) // max(last, 5 * y // 4 - y + 1)
+    pairs, sizes = [], []
+    for start in range(0, count, batch):
+        sizes.append(min(batch, count - start))
+        words = [permutation_rows(n, last, sizes[-1], g).tolist() for _ in range(2)]
+        for p, t in zip(*words):
+            pairs.append(tuple(as_perm(w + sorted(set(range(1, n + 1)).difference(w))) for w in (p, t)))
+    return pairs, sizes
 
 
 # 7 blocks of pairs, run as tasks of [4, 3], [4, 3], [3, 3, 1] and
@@ -105,11 +119,11 @@ def drawn_pairs(n, count, seed, window_rows=None):
 GROUPED_TRIALS = 6 * _MC_BLOCK + 17
 
 
-def grouped_counts(fn, trials=GROUPED_TRIALS):
-    """fn(lo, hi) summed over the tasks that 1, 2, 3 and 4 workers get,
-    then over one-block calls."""
-    sizes = [_task_size(_MC_BLOCK, trials, workers) for workers in (1, 2, 3, 4)] + [_MC_BLOCK]
-    return [sum(fn(lo, min(lo + size, trials)) for lo in range(0, trials, size)) for size in sizes]
+def grouped_counts(fn):
+    """fn(lo, hi) summed over the tasks that 1, 2, 3 and 4 workers get for
+    GROUPED_TRIALS pairs, then over one-block calls."""
+    sizes = [_task_size(_MC_BLOCK, GROUPED_TRIALS, workers) for workers in (1, 2, 3, 4)] + [_MC_BLOCK]
+    return [sum(fn(lo, min(lo + size, GROUPED_TRIALS)) for lo in range(0, GROUPED_TRIALS, size)) for size in sizes]
 
 
 def test_task_sizes_group_up_to_four_blocks():
@@ -140,14 +154,19 @@ class TestSurvivalKernel:
         assert estimate_comparability(n, count, seed).successes == sum(alive for *_, alive in pairs)
 
     def test_box_window_matches_z_table_oracle(self):
-        # n = 200 spans two sub-batches: 1310 pairs, then 90; n = 127 is the
-        # largest size with int8 Z cells, here under a negative floor
-        cases = [(40, 10, 12, 0.5, 2000, 77), (200, 40, 50, 0.5, 1400, 78), (127, 30, 40, 0.5, 2000, 79)]
+        # n = 240 spans three sub-batches: 1747, 1747, then 2 pairs; n = 127
+        # is the largest size with int8 Z cells, here under a negative floor;
+        # x = 1 scans row 1 alone from Z(0, .) = 0
+        cases = [
+            (40, 10, 12, 0.5, 2000, 77), (200, 40, 50, 0.5, 1400, 78), (127, 30, 40, 0.5, 2000, 79),
+            (240, 120, 60, 1.0, 3496, 80), (8, 1, 2, 0.0, 2000, 81),
+        ]
         for n, x, y, c_log, count, seed in cases:
             floor_level = -c_log * math.log(n)
+            pairs, sizes = box_pairs(n, x, y, count, seed)
+            assert n != 240 or sizes == [1747, 1747, 2]
             expected = sum(
-                int(z_table(as_perm(p), as_perm(t)).z[x : 5 * x // 4 + 1, y : 5 * y // 4 + 1].min()) >= floor_level
-                for p, t, *_ in drawn_pairs(n, count, seed, min(5 * x // 4, n))
+                int(z_table(p, t).z[x : 5 * x // 4 + 1, y : 5 * y // 4 + 1].min()) >= floor_level for p, t in pairs
             )
             assert 0 < expected < count
             assert estimate_box_persistence(n, x, y, c_log, count, seed).successes == expected
@@ -207,16 +226,17 @@ class TestSurvivalKernel:
         "estimate, args, successes",
         [
             (estimate_comparability, (40, 50_000, 2), 27),
-            (estimate_box_persistence, (1000, 300, 200, 1.0, 3000, 3), 1450),
-            (estimate_box_persistence, (60, 20, 20, 0, 400, 9), 143),
-            (estimate_box_persistence, (60, 20, 20, 0.5, 400, 9), 261),
-            (estimate_box_persistence, (60, 20, 20, 1, 400, 9), 353),
+            (estimate_box_persistence, (1000, 300, 200, 1.0, 3000, 3), 1419),
+            (estimate_box_persistence, (60, 20, 20, 0, 400, 9), 128),
+            (estimate_box_persistence, (60, 20, 20, 0.5, 400, 9), 258),
+            (estimate_box_persistence, (60, 20, 20, 1, 400, 9), 360),
             (estimate_box_persistence, (60, 20, 20, 2, 400, 9), 400),
         ],
     )
     def test_pair_layout_pinned(self, estimate, args, successes):
-        # mc-v3 counts; n = 40 blocks are one sub-batch each, n = 1000 box
-        # persistence draws 375 rows up front for each 262-pair sub-batch
+        # comparability counts are mc-v3, and its n = 40 blocks are one
+        # sub-batch each; n = 1000 box persistence draws 375 rows of p, then
+        # of t, by permutation_rows for each sub-batch of at most 699 pairs
         assert estimate(*args).successes == successes
 
 
@@ -251,14 +271,13 @@ class TestComparabilityEstimator:
     @pytest.mark.parametrize("n", [12, 100, 3])
     def test_task_grouping_changes_no_count(self, n):
         # n = 100 draws each block in two sub-batches (2621 + 1475 pairs)
-        fn = partial(_pair_block, seed=4, n=n, last=n, first=1, cols=range(1, n + 1), floor_level=0)
+        fn = partial(_pair_block, seed=4, n=n)
         one_block = grouped_counts(fn)[-1]
         counts = [estimate_comparability(n, GROUPED_TRIALS, 4, workers=w).successes for w in (1, 2, 3, 4)]
         assert counts == [one_block] * 4
-        # every count is 0 at n = 100; a floor of -2 keeps about 2% of the
-        # pairs alive, so the lazy draws of both sub-batches decide it
-        low = partial(fn, floor_level=-2) if n == 100 else fn
-        counts = grouped_counts(low)
+        # every count is 0 at n = 100; at n = 65 each block draws in two
+        # sub-batches (4032 + 64 pairs), and a few pairs are comparable
+        counts = grouped_counts(partial(_pair_block, seed=4, n=65) if n == 100 else fn)
         assert counts == [counts[-1]] * 5 and counts[0] > 0
 
     @staticmethod
@@ -307,31 +326,45 @@ class TestBoxPersistence:
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_coupled_across_sub_batches(self):
-        # 600 pairs at n = 1000 fill three sub-batches (262, 262, 76); every
-        # floor must see the same pairs in each of them.  The floors
+        # 1500 pairs at n = 1000 fill three sub-batches (699, 699, 102);
+        # every floor must see the same pairs in each of them.  The floors
         # -(k + 1/2) step the integer floor one at a time, where pairs drawn
         # anew for each floor would break the order by chance.
         grid = {0.0, 0.5, 1.0, 2.0} | {(k + 0.5) / math.log(1000) for k in range(16)}
-        values = [estimate_box_persistence(1000, 300, 200, c, 600, 3).successes for c in sorted(grid)]
+        values = [estimate_box_persistence(1000, 300, 200, c, 1500, 3).successes for c in sorted(grid)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_worker_invariance(self):
-        a = estimate_box_persistence(40, 10, 12, 1.0, 300, 8, workers=1)
-        b = estimate_box_persistence(40, 10, 12, 1.0, 300, 8, workers=2)
-        assert (a.successes, a.p_hat) == (b.successes, b.p_hat)
+        # three blocks, so that 2 to 4 workers each share them out differently
+        results = [estimate_box_persistence(40, 10, 12, 1.0, 2 * _MC_BLOCK + 300, 8, workers=w) for w in (1, 2, 3, 4)]
+        assert len({(r.successes, r.p_hat) for r in results}) == 1
 
     def test_task_grouping_changes_no_count(self):
-        # n = 200 draws each block in sub-batches of 1310 pairs; 5 blocks run
-        # as tasks of [4, 1], [3, 2], [2, 2, 1] and [2, 2, 1] blocks
+        # each run_blocks task is one block, which draws from its own stream
+        # only: a run counts the sum of its blocks, whatever the worker
+        # count, and a shorter run counts the sum of its own first blocks
         n, x, y, c_log, trials, seed = 200, 40, 50, 0.5, 5 * _MC_BLOCK + 3, 6
-        fn = partial(
-            _pair_block, seed=seed, n=n, last=5 * x // 4, first=x, cols=range(y, 5 * y // 4 + 1),
-            floor_level=-c_log * math.log(n), upfront=True,
-        )
-        counts = grouped_counts(fn, trials)
-        assert counts == [counts[-1]] * 5 and 0 < counts[-1] < trials
+        floor_level = math.ceil(-c_log * math.log(n))
+        fn = partial(_box_block, seed=seed, n=n, x=x, cols=range(y, 5 * y // 4 + 1), floor_level=floor_level)
+        blocks = [fn(lo, min(lo + _MC_BLOCK, trials)) for lo in range(0, trials, _MC_BLOCK)]
+        assert 0 < sum(blocks) < trials
         for workers in (1, 2, 3, 4):
-            assert estimate_box_persistence(n, x, y, c_log, trials, seed, workers=workers).successes == counts[-1]
+            assert estimate_box_persistence(n, x, y, c_log, trials, seed, workers=workers).successes == sum(blocks)
+        assert estimate_box_persistence(n, x, y, c_log, 2 * _MC_BLOCK, seed).successes == sum(blocks[:2])
+
+    def test_block_memory_follows_sub_batch_cap(self):
+        # a block of 4096 pairs at n = 1000, x = 300 scans sub-batches of at
+        # most 699 pairs; its rows 1..375 of p and t alone, drawn whole,
+        # would take 5.9 MiB
+        args = (1000, 300, 200, 1.0, _MC_BLOCK, 3)
+        estimate_box_persistence(*args)  # warm up numpy's allocations
+        tracemalloc.start()
+        try:
+            estimate_box_persistence(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     def test_parameter_bounds(self):
         with pytest.raises(ValueError):
