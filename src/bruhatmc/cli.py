@@ -20,7 +20,6 @@ import json
 import math
 import sys
 import warnings
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__

@@ -21,11 +21,12 @@ perms.permutation_rows, so that its floors stay coupled, builds Z at the
 row before the window in one count, and scans the window's rows.  Sheet
 borders are drawn only for the trials still alive.  Each fixed-size block
 of trials draws from one counter-based stream keyed by (seed, block
-index); a comparability or sheet scan carries up to four blocks at once,
-so that a scan's fixed cost per step is shared, and a box persistence scan
-one.  Results are bit-identical no matter how many workers execute the
-blocks or how scans group them.  Pool workers fork with numpy.random
-already loaded.
+index).  Every estimator hands _parallel.run_blocks tasks of up to four
+blocks, sized by _parallel.task_size for the processes the run uses; a
+comparability or sheet scan carries a task's blocks at once, so that a
+scan's fixed cost per step is shared, and box persistence scans them one
+after another.  Results are bit-identical no matter how many workers
+execute the blocks or how tasks group them.
 """
 from __future__ import annotations
 
@@ -38,13 +39,12 @@ from functools import partial
 
 import numpy as np
 
-from ._parallel import run_blocks
-from .perms import fisher_yates_step, permutation_rows, prefix_sums, trial_stream
+from ._parallel import processes, run_blocks, task_size
+from .perms import block_streams, fisher_yates_step, permutation_rows, prefix_sums
 
 _Z95 = 1.959963984540054  # normal 97.5% quantile for Wilson intervals
 _MC_BLOCK = 4096  # pairs per block (comparability / box persistence); each block owns one stream
 _SHEET_BLOCK = 8192  # trials per sheet block; each block owns one stream
-_TASK_BLOCKS = 4  # most stream blocks one comparability or sheet scan carries (bounds its memory)
 _PAIR_DRAW = 1 << 18  # caps a sub-batch at this // n pairs (pools), or // max(rows, columns) (box windows)
 LOW_COUNT_THRESHOLD = 20
 
@@ -123,13 +123,6 @@ def _block_runs(streams: list, bounds: list[int], idx: np.ndarray) -> list[tuple
     return [(g, s, e) for g, s, e in zip(streams, cuts, cuts[1:]) if e > s]
 
 
-def _task_size(block: int, trials: int, workers: int) -> int:
-    """Trials per run_blocks task: up to _TASK_BLOCKS stream blocks, fewer if
-    that would idle a worker."""
-    blocks = -(-trials // block)
-    return block * min(_TASK_BLOCKS, -(-blocks // max(1, workers)))
-
-
 def _z_row(b: np.ndarray, vp: np.ndarray, vt: np.ndarray, z: np.ndarray | None) -> np.ndarray:
     """Row a of Z on the columns ``b`` (a column in the cell dtype) for the
     pairs whose row-a values, on b's scale, are vp and vt: Z(a - 1, .)
@@ -175,8 +168,7 @@ def _pair_block(lo: int, hi: int, seed: int, n: int) -> int:
     cell = np.int8 if n < 128 else dtype
     b = np.arange(n, dtype=cell)[:, None]  # 0-based b - 1, a column
     batch = max(1, _PAIR_DRAW // n)
-    blocks = [(trial_stream(seed, start // _MC_BLOCK), min(start + _MC_BLOCK, hi) - start)
-              for start in range(lo, hi, _MC_BLOCK)]
+    blocks = [(g, e - s) for g, s, e in block_streams(seed, lo, hi, _MC_BLOCK)]
     succ = 0
     for offset in range(0, _MC_BLOCK, batch):
         scan = [(g, min(batch, size - offset)) for g, size in blocks if size > offset]
@@ -237,31 +229,33 @@ def _window_z(p: np.ndarray, t: np.ndarray, cols: range) -> np.ndarray:
 
 
 def _box_block(lo: int, hi: int, seed: int, n: int, x: int, cols: range, floor_level: int) -> int:
-    """Pairs among lo..hi-1, one block, whose Z stays >= floor_level on rows
-    x..5x/4 and columns ``cols``.
+    """Pairs among lo..hi-1, which may span several blocks, whose Z stays
+    >= floor_level on rows x..5x/4 and columns ``cols``.
 
-    The block draws from trial_stream(seed, block) in sub-batches of at most
-    _PAIR_DRAW // max(5x/4, len(cols)) pairs, so a sub-batch's rows and its
-    Z stay under a fixed number of cells for any n: rows 1..5x/4 of every
-    pair's p, then of every t, by permutation_rows, before the scan, so that
-    every floor sees the same pairs.  Z(x - 1, .) on ``cols`` comes from
-    one count of the values of rows 1..x - 1, and each step adds one row's
-    stored values for the pairs still alive (_z_row).
+    Each block draws from its own trial_stream(seed, block) in sub-batches
+    of at most _PAIR_DRAW // max(5x/4, len(cols)) pairs, so a sub-batch's
+    rows and its Z stay under a fixed number of cells for any n: rows
+    1..5x/4 of every pair's p, then of every t, by permutation_rows, before
+    the scan, so that every floor sees the same pairs.  Z(x - 1, .) on
+    ``cols`` comes from one count of the values of rows 1..x - 1, and each
+    step adds one row's stored values for the pairs still alive (_z_row).
+    Blocks are scanned one after another, so the count is the same for any
+    grouping of blocks into tasks.  ``lo`` must start a block.
     """
     last = 5 * x // 4
     cell = np.int8 if n < 128 else (np.int16 if n < 2 ** 15 else np.int32)
     b = np.arange(cols.start, cols.stop, dtype=cell)[:, None]
-    g = trial_stream(seed, lo // _MC_BLOCK)
     batch = max(1, _PAIR_DRAW // max(last, len(cols)))
     succ = 0
-    for start in range(lo, hi, batch):
-        count = min(batch, hi - start)
-        p, t = (permutation_rows(n, last, count, g).T for _ in range(2))  # (last, count) each
-        z = _window_z(p[: x - 1], t[: x - 1], cols).astype(cell, order="C")
-        succ += _survivors(
-            lambda a, idx, z: _z_row(b, p[a - 1].take(idx), t[a - 1].take(idx), z),
-            range(x, last + 1), floor_level, count, z,
-        )
+    for g, block, end in block_streams(seed, lo, hi, _MC_BLOCK):
+        for start in range(block, end, batch):
+            count = min(batch, end - start)
+            p, t = (permutation_rows(n, last, count, g).T for _ in range(2))  # (last, count) each
+            z = _window_z(p[: x - 1], t[: x - 1], cols).astype(cell, order="C")
+            succ += _survivors(
+                lambda a, idx, z: _z_row(b, p[a - 1].take(idx), t[a - 1].take(idx), z),
+                range(x, last + 1), floor_level, count, z,
+            )
     return succ
 
 
@@ -277,7 +271,7 @@ def estimate_comparability(n: int, trials: int, seed: int, workers: int = 1) -> 
         raise ValueError(f"need n >= 1 and trials >= 1, got n={n} trials={trials}")
     start = time.perf_counter()
     fn = partial(_pair_block, seed=seed, n=n)
-    succ = sum(run_blocks(trials, _task_size(_MC_BLOCK, trials, workers), fn, workers))
+    succ = sum(run_blocks(trials, task_size(_MC_BLOCK, trials, processes(workers)), fn, workers))
     return EstimateResult.from_counts(n, trials, succ, seed, time.perf_counter() - start)
 
 
@@ -285,7 +279,9 @@ def estimate_box_persistence(
     n: int, x: int, y: int, c_log: float, trials: int, seed: int, workers: int = 1
 ) -> EstimateResult:
     """Estimate P(min Z(a,b) >= -c_log * ln n), checked at the floor's integer
-    ceiling (Z is an integer), over a in [x, 5x/4], b in [y, 5y/4], for fresh pairs."""
+    ceiling (Z is an integer), over a in [x, 5x/4], b in [y, 5y/4], for fresh
+    pairs.  Like every scan, it runs tasks of up to four blocks of pairs
+    (_parallel.task_size)."""
     if not (1 <= x <= n // 2 and 1 <= y <= n // 2):
         raise ValueError(f"need 1 <= x, y <= n/2, got x={x} y={y} n={n}")
     if c_log < 0 or trials < 1:
@@ -293,7 +289,7 @@ def estimate_box_persistence(
     start = time.perf_counter()
     cols = range(y, 5 * y // 4 + 1)
     fn = partial(_box_block, seed=seed, n=n, x=x, cols=cols, floor_level=math.ceil(-c_log * math.log(n)))
-    succ = sum(run_blocks(trials, _MC_BLOCK, fn, workers))
+    succ = sum(run_blocks(trials, task_size(_MC_BLOCK, trials, processes(workers)), fn, workers))
     return EstimateResult.from_counts(n, trials, succ, seed, time.perf_counter() - start)
 
 
@@ -365,9 +361,9 @@ def _sheet_block(lo: int, hi: int, seed: int, m: int, floor_level: float, q: flo
     trials, so the count is the same for any grouping of blocks into scans
     and any worker count.  ``lo`` must start a block.
     """
-    starts = range(lo, hi, _SHEET_BLOCK)
-    streams = [trial_stream(seed, start // _SHEET_BLOCK) for start in starts]
-    bounds = [start - lo for start in starts] + [hi - lo]
+    blocks = block_streams(seed, lo, hi, _SHEET_BLOCK)
+    streams = [g for g, _, _ in blocks]
+    bounds = [s - lo for _, s, _ in blocks] + [hi - lo]
 
     def square(k, idx, z):
         border = np.empty((2 * k - 1, idx.size))
@@ -408,7 +404,7 @@ def sheet_persistence(
     floor_level = -threshold if q is None else -threshold * math.sqrt(2.0 * q)
     start = time.perf_counter()
     fn = partial(_sheet_block, seed=seed, m=m, floor_level=floor_level, q=q)
-    succ = sum(run_blocks(trials, _task_size(_SHEET_BLOCK, trials, workers), fn, workers))
+    succ = sum(run_blocks(trials, task_size(_SHEET_BLOCK, trials, processes(workers)), fn, workers))
     return EstimateResult.from_counts(m, trials, succ, seed, time.perf_counter() - start)
 
 

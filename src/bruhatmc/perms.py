@@ -4,8 +4,9 @@ Permutations are 1-indexed: ``p(i)`` is the value in row ``i`` of the
 corresponding permutation matrix, i.e. the matrix has a one at ``(i, p(i))``.
 The matrix itself is never stored; everything is derived from the one-line
 word.  Prefix counts of the matrix live in :class:`DominanceTable`.  The
-package builds every prefix table with :func:`prefix_sums` and draws rows of
-permutations with :func:`fisher_yates_step`, batched by :func:`permutation_rows`.
+package keys each block of trials' stream with :func:`block_streams`, builds
+every prefix table with :func:`prefix_sums` and draws rows of permutations
+with :func:`fisher_yates_step`, batched by :func:`permutation_rows`.
 """
 from __future__ import annotations
 
@@ -31,6 +32,12 @@ def trial_stream(seed: int, trial: int = 0) -> np.random.Generator:
     if not (0 <= seed <= _MASK64 and 0 <= trial <= _MASK64):
         raise ValueError(f"seed and trial must lie in [0, 2^64), got seed={seed} trial={trial}")
     return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
+
+
+def block_streams(seed: int, lo: int, hi: int, block: int) -> list[tuple[np.random.Generator, int, int]]:
+    """(trial_stream(seed, k), start, end) for each block k of ``block``
+    trials that trials lo..hi-1 span; ``lo`` must start a block."""
+    return [(trial_stream(seed, s // block), s, min(s + block, hi)) for s in range(lo, hi, block)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -137,16 +144,18 @@ def permutation_rows(n: int, rows: int, count: int, stream: np.random.Generator)
     (count, rows) array in int16 below n = 2^15, else int32.  Sub-batches of
     max(1, _ROW_DRAW // n) permutations each draw all their indices in one
     call of shape (rows, size), row a's uniform on 0..n - a, and apply them
-    row by row to pools that start as 1..n."""
+    row by row to pools that start as 1..n.  One sub-batch's pools are
+    allocated per call and refilled in place for each sub-batch."""
     dtype = np.int16 if n < 2 ** 15 else np.int32
     words = np.empty((rows, count), dtype)  # rows-major: each step writes one run
     batch = max(1, _ROW_DRAW // n)
+    pools = np.empty((min(batch, count), n), dtype)
     for s in range(0, count, batch):
         size = min(batch, count - s)
         j = stream.integers(0, n - np.arange(rows)[:, None], size=(rows, size), dtype=dtype)
-        pools = np.tile(np.arange(1, n + 1, dtype=dtype), size)
+        pools[:size] = np.arange(1, n + 1, dtype=dtype)
         for a in range(rows):
-            words[a, s : s + size] = fisher_yates_step(pools, np.arange(a, size * n, n), j[a])
+            words[a, s : s + size] = fisher_yates_step(pools.reshape(-1), np.arange(a, size * n, n), j[a])
     return words.T
 
 

@@ -17,8 +17,8 @@ from functools import partial
 
 import numpy as np
 
-from ._parallel import run_blocks
-from .perms import MAX_TABLE_SIZE, Permutation, permutation_rows, prefix_sums, trial_stream
+from ._parallel import processes, run_blocks, task_size
+from .perms import MAX_TABLE_SIZE, Permutation, block_streams, permutation_rows, prefix_sums
 
 _STAT_BLOCK = 256  # trials per merge block; each block owns one stream
 _STAT_CELLS = 1 << 16  # window-table cells per sub-batch
@@ -159,12 +159,14 @@ def _window_stats(words: np.ndarray, n: int, first: int, y0: int, y1: int) -> np
 
 def _window_stat_block(
     lo: int, hi: int, seed: int, n: int, rows: int, first: int, y0: int, y1: int
-) -> tuple[int, float, float]:
-    """(count, sum, sum of squares) of _window_stats on ``rows`` rows drawn
-    by permutation_rows from trial_stream(seed, block) (CSV schema chainstat-v3)."""
-    g = trial_stream(seed, lo // _STAT_BLOCK)
-    stat = _window_stats(permutation_rows(n, rows, hi - lo, g), n, first, y0, y1)
-    return stat.size, float(stat.sum()), float(stat @ stat)
+) -> list[tuple[int, float, float]]:
+    """For each block of trials lo..hi-1, which may span several blocks,
+    (count, sum, sum of squares) of _window_stats on ``rows`` rows drawn by
+    permutation_rows from the block's trial_stream(seed, block) (CSV schema
+    chainstat-v3).  ``lo`` must start a block."""
+    stats = (_window_stats(permutation_rows(n, rows, e - s, g), n, first, y0, y1)
+             for g, s, e in block_streams(seed, lo, hi, _STAT_BLOCK))
+    return [(stat.size, float(stat.sum()), float(stat @ stat)) for stat in stats]
 
 
 def _window_max(
@@ -177,7 +179,9 @@ def _window_max(
         raise ValueError("trials must be >= 1")
     y1 = min(5 * y // 4, n)
     fn = partial(_window_stat_block, seed=seed, n=n, rows=rows, first=first, y0=y, y1=y1)
-    count, total, sumsq = (sum(col) for col in zip(*run_blocks(trials, _STAT_BLOCK, fn, workers)))
+    tasks = run_blocks(trials, task_size(_STAT_BLOCK, trials, processes(workers)), fn, workers)
+    # summed block by block, in block order, for the same floats at any grouping
+    count, total, sumsq = (sum(col) for col in zip(*(block for task in tasks for block in task)))
     mean = total / count
     var = max(sumsq / count - mean * mean, 0.0) * (count / max(count - 1, 1))
     return TrialSummary(mean=mean, stderr=math.sqrt(var / count), trials=count)

@@ -659,6 +659,16 @@ def _data_digest(text: str) -> str:
              "--seed", "20261017"],
             "ac11e7580b3bf90e7070151f014d0edb3ca59387712f7f0e7c8b11c7d36578b2", id="mc-grid",
         ),
+        pytest.param(
+            ["chainstat", "--n", "256", "--x", "16,64", "--y", "64,16", "--stat", "rect", "--trials", "1000",
+             "--seed", "8"],
+            "bbbd805d6ca3d918903a4221c278826a57a4531fa64a537bb393c3b291b092b2", id="chainstat-v3-rect",
+        ),
+        pytest.param(
+            ["chainstat", "--n", "256", "--x", "16,64", "--y", "64,16", "--stat", "strip", "--trials", "1000",
+             "--seed", "8"],
+            "c7d347bb3ac109b76f2a934cb1a1e5222d669062f1b483c5e4b8897a94f4fe3a", id="chainstat-v3-strip",
+        ),
     ],
 )
 def test_output_digest_pinned(capsys, tmp_path, argv, digest, workers):

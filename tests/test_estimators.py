@@ -13,7 +13,6 @@ from bruhatmc.estimators import (
     _pair_block,
     _square_border,
     _survivors,
-    _task_size,
     estimate_box_persistence,
     estimate_comparability,
     fit_scaling,
@@ -23,6 +22,7 @@ from bruhatmc.estimators import (
     sheet_persistence,
     wilson_interval,
 )
+from bruhatmc._parallel import task_size
 from bruhatmc.order import EXACT_COUNT_CAP, exact_comparability_count, is_leq_strong
 from bruhatmc.perms import Permutation, permutation_rows, trial_stream
 from bruhatmc.zprocess import z_table
@@ -115,21 +115,21 @@ def box_pairs(n, x, y, count, seed):
 
 
 # 7 blocks of pairs, run as tasks of [4, 3], [4, 3], [3, 3, 1] and
-# [2, 2, 2, 1] blocks at 1, 2, 3 and 4 workers
+# [2, 2, 2, 1] blocks on 1, 2, 3 and 4 processes
 GROUPED_TRIALS = 6 * _MC_BLOCK + 17
 
 
 def grouped_counts(fn):
-    """fn(lo, hi) summed over the tasks that 1, 2, 3 and 4 workers get for
+    """fn(lo, hi) summed over the tasks that 1, 2, 3 and 4 processes get for
     GROUPED_TRIALS pairs, then over one-block calls."""
-    sizes = [_task_size(_MC_BLOCK, GROUPED_TRIALS, workers) for workers in (1, 2, 3, 4)] + [_MC_BLOCK]
+    sizes = [task_size(_MC_BLOCK, GROUPED_TRIALS, workers) for workers in (1, 2, 3, 4)] + [_MC_BLOCK]
     return [sum(fn(lo, min(lo + size, GROUPED_TRIALS)) for lo in range(0, GROUPED_TRIALS, size)) for size in sizes]
 
 
 def test_task_sizes_group_up_to_four_blocks():
-    assert [_task_size(_MC_BLOCK, GROUPED_TRIALS, w) // _MC_BLOCK for w in (1, 2, 3, 4)] == [4, 4, 3, 2]
-    assert [_task_size(8192, 8192 * k, 2) // 8192 for k in (1, 2, 3, 8, 9, 40)] == [1, 1, 2, 4, 4, 4]
-    assert _task_size(_MC_BLOCK, 1, 10**20) == _MC_BLOCK
+    assert [task_size(_MC_BLOCK, GROUPED_TRIALS, w) // _MC_BLOCK for w in (1, 2, 3, 4)] == [4, 4, 3, 2]
+    assert [task_size(8192, 8192 * k, 2) // 8192 for k in (1, 2, 3, 8, 9, 40)] == [1, 1, 2, 4, 4, 4]
+    assert task_size(_MC_BLOCK, 1, 10**20) == _MC_BLOCK
 
 
 def as_perm(values):
@@ -340,14 +340,15 @@ class TestBoxPersistence:
         assert len({(r.successes, r.p_hat) for r in results}) == 1
 
     def test_task_grouping_changes_no_count(self):
-        # each run_blocks task is one block, which draws from its own stream
-        # only: a run counts the sum of its blocks, whatever the worker
+        # each block draws from its own stream only: a run counts the sum of
+        # its blocks, however tasks group them and whatever the worker
         # count, and a shorter run counts the sum of its own first blocks
         n, x, y, c_log, trials, seed = 200, 40, 50, 0.5, 5 * _MC_BLOCK + 3, 6
         floor_level = math.ceil(-c_log * math.log(n))
         fn = partial(_box_block, seed=seed, n=n, x=x, cols=range(y, 5 * y // 4 + 1), floor_level=floor_level)
         blocks = [fn(lo, min(lo + _MC_BLOCK, trials)) for lo in range(0, trials, _MC_BLOCK)]
         assert 0 < sum(blocks) < trials
+        assert fn(0, trials) == sum(blocks)
         for workers in (1, 2, 3, 4):
             assert estimate_box_persistence(n, x, y, c_log, trials, seed, workers=workers).successes == sum(blocks)
         assert estimate_box_persistence(n, x, y, c_log, 2 * _MC_BLOCK, seed).successes == sum(blocks[:2])

@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 import bruhatmc
-from bruhatmc import _parallel
-from bruhatmc._parallel import run_blocks, shared_pool
+from bruhatmc import _parallel, estimators, zprocess
+from bruhatmc._parallel import processes, run_blocks, shared_pool
 from bruhatmc.cli import EXIT_OK, main
-from bruhatmc.estimators import estimate_comparability, sheet_persistence
+from bruhatmc.estimators import estimate_box_persistence, estimate_comparability, sheet_persistence
 from bruhatmc.zprocess import max_rect_stat
 
 
@@ -41,9 +41,16 @@ def pool_sizes(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    # _pool imports the executor class when it starts a pool
+    # shared_pool imports the executor class when it starts a pool
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     return sizes
+
+
+def test_processes_is_at_most_cpu_count(monkeypatch):
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 3)
+    assert [processes(w) for w in (1, 2, 3, 64, 10**20)] == [1, 2, 3, 3, 3]
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: None)  # unknown: one process
+    assert processes(8) == 1
 
 
 def test_pool_starts_at_most_cpu_count_processes(pool_sizes, monkeypatch):
@@ -52,19 +59,49 @@ def test_pool_starts_at_most_cpu_count_processes(pool_sizes, monkeypatch):
     with shared_pool(10**20):
         assert run_blocks(4, 2, _span, workers=10**20) == [(0, 2), (2, 4)]
     assert run_blocks(4, 2, _span, workers=2) == [(0, 2), (2, 4)]
-    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: None)  # unknown: one process
-    assert run_blocks(4, 2, _span, workers=8) == [(0, 2), (2, 4)]
-    assert pool_sizes == [3, 3, 2, 1]
+    # one CPU, or an unknown count, runs in-process and starts no pool
+    for cpus in (1, None):
+        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: cpus)
+        with shared_pool(8):
+            assert run_blocks(4, 2, _span, workers=8) == [(0, 2), (2, 4)]
+    assert pool_sizes == [3, 3, 2]
 
 
-def test_huge_worker_count_runs_on_cpu_count_processes(pool_sizes, capsys):
+# each scan gets 13 of its blocks, so tasks sized for 64 workers would carry
+# one block each, and tasks sized for the 2 processes that run them four
+SCANS = {
+    "comparability": (lambda w: estimate_comparability(8, 13 * 4096, 1, workers=w), 4 * 4096),
+    "box": (lambda w: estimate_box_persistence(64, 8, 8, 1.0, 13 * 4096, 1, workers=w), 4 * 4096),
+    "sheet": (lambda w: sheet_persistence(4, 1.0, 13 * 8192, 1, workers=w), 4 * 8192),
+    "chainstat": (lambda w: max_rect_stat(64, 8, 8, 13 * 256, 1, workers=w), 4 * 256),
+}
+
+
+@pytest.mark.parametrize("scan, size", SCANS.values(), ids=SCANS.keys())
+def test_scans_size_tasks_for_the_processes_that_run_them(scan, size, monkeypatch):
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+    sizes = []
+
+    def in_process(total, block_size, fn, workers=1):
+        sizes.append(block_size)
+        return run_blocks(total, block_size, fn)
+
+    monkeypatch.setattr(estimators, "run_blocks", in_process)
+    monkeypatch.setattr(zprocess, "run_blocks", in_process)
+    scan(64)
+    scan(2)
+    assert sizes == [size, size]
+
+
+def test_huge_worker_count_runs_on_cpu_count_processes(pool_sizes, capsys, monkeypatch):
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
     # --workers 10^20 once overflowed a semaphore before any process started
     argv = ["gauss", "--grid", "8", "--threshold", "1", "--trials", "10", "--seed", "1"]
     assert main(argv) == EXIT_OK
     serial = capsys.readouterr().out
     assert main(argv + ["--workers", str(10**20)]) == EXIT_OK
     assert capsys.readouterr().out == serial
-    assert pool_sizes == [os.cpu_count() or 1]
+    assert pool_sizes == [2]
     huge = sheet_persistence(8, 1.0, 40_000, 1, workers=10**20)
     assert huge.successes == sheet_persistence(8, 1.0, 40_000, 1).successes
 
@@ -104,10 +141,12 @@ def test_shared_pool_leaves_counts_unchanged():
     assert pooled[1] == serial[1]
 
 
-def test_other_worker_count_gets_its_own_pool():
+def test_other_worker_count_reuses_the_active_pool(pool_sizes, monkeypatch):
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 4)
     with shared_pool(2):
-        assert run_blocks(10, 3, _span, workers=3) == [(0, 3), (3, 6), (6, 9), (9, 10)]
-        assert run_blocks(10, 3, _span, workers=2) == [(0, 3), (3, 6), (6, 9), (9, 10)]
+        for workers in (3, 64, 2):
+            assert run_blocks(10, 3, _span, workers=workers) == [(0, 3), (3, 6), (6, 9), (9, 10)]
+    assert pool_sizes == [2]
 
 
 def test_calls_and_nested_blocks_reuse_the_outer_pool():
@@ -117,6 +156,7 @@ def test_calls_and_nested_blocks_reuse_the_outer_pool():
         with shared_pool(2):
             pids.update(run_blocks(16, 1, _pid, workers=2))
         pids.update(run_blocks(16, 1, _pid, workers=2))
+        pids.update(run_blocks(16, 1, _pid, workers=3))
     # a pool per call would show at least one fresh worker per call
     assert os.getpid() not in pids
     assert 1 <= len(pids) <= 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,20 @@ class TestPermutationRows:
         assert words.dtype == (np.int16 if n < 2 ** 15 else np.int32)
         assert words.tolist() == [w[:rows] for w in expected]
         assert all(sorted(w) == list(range(1, n + 1)) for w in expected)
+
+    def test_memory_is_one_sub_batch_of_pools(self):
+        # at n = 20000 a sub-batch is 52 permutations, 2.0 MiB of pools;
+        # 208 permutations run four sub-batches on the same pools
+        permutation_rows(20000, 2, 52, trial_stream(43))  # warm up numpy's allocations
+        peaks = []
+        for count in (52, 208):
+            tracemalloc.start()
+            try:
+                permutation_rows(20000, 2, count, trial_stream(43))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
     def test_full_rows_are_uniform_on_s4(self):
         trials = 24_000
