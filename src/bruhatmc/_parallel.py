@@ -5,10 +5,10 @@ pure function of (seed, block range), so distributing blocks over any number
 of worker processes and merging partials in block order reproduces the
 single-worker output bit for bit.  This module makes every decision about
 how a job is split and run: processes(workers) caps a worker count at the
-machine's CPUs, task_size groups whole blocks into tasks for that many
-processes, and run_blocks runs the tasks in-process when one process is
-all there is, else on the one pool that shared_pool opens.  Pool workers
-fork with numpy.random already loaded.
+CPUs this process may run on, task_size groups whole blocks into tasks for
+that many processes, and run_blocks runs the tasks in-process when one
+process is all there is, else on the one pool that shared_pool opens.
+Pool workers fork with numpy.random already loaded.
 """
 from __future__ import annotations
 
@@ -28,9 +28,11 @@ _shared = contextvars.ContextVar("bruhatmc_shared_pool", default=None)
 
 
 def processes(workers: int) -> int:
-    """Processes a run at ``workers`` uses: at most the machine's CPUs, and
-    1 when their count is unknown."""
-    return min(workers, os.cpu_count() or 1)
+    """Processes a run at ``workers`` uses: at most the CPUs this process may
+    run on (its affinity where the platform reports one), and 1 when their
+    count is unknown."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(workers, cpus or 1)
 
 
 def task_size(block: int, total: int, procs: int) -> int:

@@ -50,9 +50,9 @@ EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 EXIT_LOWCOUNT = 4
 
-MC_SCHEMA = "mc-v3"
+MC_SCHEMA = "mc-v4"
 # schemas fit still reads: older rows are identical, only the stream layout differs
-MC_READABLE = (MC_SCHEMA, "mc-v2", "mc-v1")
+MC_READABLE = (MC_SCHEMA, "mc-v3", "mc-v2", "mc-v1")
 GAUSS_SCHEMA = "gauss-v3"
 CHAINSTAT_SCHEMA = "chainstat-v3"
 NAIVE_MC_MAX_N = 64

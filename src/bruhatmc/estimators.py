@@ -10,23 +10,26 @@ whole rows of trials.  For a permutation pair a step is one row of Z, and
 both pair scans add it by one row update, _z_row; for a sheet it is the
 border that grows the k-1 x k-1 square to k x k.  Comparability draws a
 row only for the pairs still alive, by a row-by-row Fisher-Yates shuffle
-over per-pair pools of unused values; it decides rows 1 and 2 from the
-drawn indices by sorted prefixes, builds pools and Z only for the pairs
-alive after row 2, and stops at row n - 1, since Z(n, .) is 0.  Its index
-draws use the draw dtype (int16, or int32 from n = 2^15), which is part of
-the stream layout; pools and Z cells use a cell dtype that only needs to
-hold [-n, n] (int8 below n = 128), which changes no result.  Box
-persistence draws its window's rows for every pair before its scan with
+over per-pair pools of unused values, with one index draw per row for p
+and t together; it decides rows 1 and 2 from the drawn indices by sorted
+prefixes, builds pools and Z only for the pairs alive after row 2, and
+stops at row n - 1, since Z(n, .) is 0.  Its index draws use the draw
+dtype (int16, or int32 from n = 2^15), which is part of the stream
+layout; pools and Z cells use a cell dtype that only needs to hold
+[-n, n] (int8 below n = 128), which changes no result.  Box persistence
+draws its window's rows for every pair before its scan with
 perms.permutation_rows, so that its floors stay coupled, builds Z at the
 row before the window in one count, and scans the window's rows.  Sheet
 borders are drawn only for the trials still alive.  Each fixed-size block
-of trials draws from one counter-based stream keyed by (seed, block
-index).  Every estimator hands _parallel.run_blocks tasks of up to four
-blocks, sized by _parallel.task_size for the processes the run uses; a
-comparability or sheet scan carries a task's blocks at once, so that a
-scan's fixed cost per step is shared, and box persistence scans them one
-after another.  Results are bit-identical no matter how many workers
-execute the blocks or how tasks group them.
+of trials (16384 pairs for comparability, 4096 for box persistence, 8192
+sheets) draws from one counter-based stream keyed by (seed, block index).
+Every estimator hands _parallel.run_blocks tasks of up to four blocks,
+sized by _parallel.task_size for the processes the run uses; a sheet scan
+carries a task's blocks at once, so that a scan's fixed cost per step is
+shared, while comparability and box persistence scan them one after
+another, in sub-batches that bound their memory.  Results are
+bit-identical no matter how many workers execute the blocks or how tasks
+group them.
 """
 from __future__ import annotations
 
@@ -43,9 +46,11 @@ from ._parallel import processes, run_blocks, task_size
 from .perms import block_streams, fisher_yates_step, permutation_rows, prefix_sums
 
 _Z95 = 1.959963984540054  # normal 97.5% quantile for Wilson intervals
-_MC_BLOCK = 4096  # pairs per block (comparability / box persistence); each block owns one stream
+_PAIR_BLOCK = 1 << 14  # pairs per comparability block; each block owns one stream
+_PAIR_SCAN = 1 << 20  # caps a comparability sub-batch at this // n pairs (pools and Z)
+_MC_BLOCK = 4096  # pairs per box-persistence block; each block owns one stream
 _SHEET_BLOCK = 8192  # trials per sheet block; each block owns one stream
-_PAIR_DRAW = 1 << 18  # caps a sub-batch at this // n pairs (pools), or // max(rows, columns) (box windows)
+_PAIR_DRAW = 1 << 18  # caps a box-persistence sub-batch at this // max(window rows, columns) pairs
 LOW_COUNT_THRESHOLD = 20
 
 
@@ -135,19 +140,19 @@ def _z_row(b: np.ndarray, vp: np.ndarray, vt: np.ndarray, z: np.ndarray | None) 
 
 def _pair_block(lo: int, hi: int, seed: int, n: int) -> int:
     """Comparable pairs (p <= t) among pairs lo..hi-1, which may span several
-    blocks.
+    blocks of _PAIR_BLOCK pairs.
 
     Step a of a scan is row a of Z on columns 1..n (_z_row), checked at
     floor 0 for rows 1..n - 1.  Each block's pairs come from its own
-    trial_stream(seed, block) in sub-batches of at most _PAIR_DRAW // n
-    pairs, drawn row by row by a Fisher-Yates shuffle (CSV schema mc-v3);
-    scan i carries sub-batch i of every block, so each stream still yields
-    its sub-batches in order.  Row a is drawn only for the pairs still
-    alive after row a - 1: each block with k of them alive draws by two
-    calls integers(0, n - a + 1, size=k), the p indices, then the t
-    indices, in the draw dtype (int16 below n = 2^15, else int32), which is
-    part of mc-v3.  Index j takes the value at place j of that side's pool
-    of unused values, which starts as 0..n-1 (fisher_yates_step).
+    trial_stream(seed, block) in sub-batches of at most _PAIR_SCAN // n
+    pairs, drawn row by row by a Fisher-Yates shuffle (CSV schema mc-v4);
+    blocks and their sub-batches are scanned one after another.  Row a is
+    drawn only for the k pairs still alive after row a - 1, by one call
+    integers(0, n - a + 1, size=(2, k)) whose row 0 holds the p indices and
+    row 1 the t indices, in the draw dtype (int16 below n = 2^15, else
+    int32), which is part of mc-v4.  Index j takes the value at place j of
+    that side's pool of unused values, which starts as 0..n-1
+    (fisher_yates_step).
 
     Rows 1 and 2 are decided from the drawn indices alone, by the tableau
     criterion: Z(a, .) >= 0 exactly when the sorted p(1..a) is entrywise at
@@ -167,48 +172,41 @@ def _pair_block(lo: int, hi: int, seed: int, n: int) -> int:
     dtype = np.int16 if n < 2 ** 15 else np.int32
     cell = np.int8 if n < 128 else dtype
     b = np.arange(n, dtype=cell)[:, None]  # 0-based b - 1, a column
-    batch = max(1, _PAIR_DRAW // n)
-    blocks = [(g, e - s) for g, s, e in block_streams(seed, lo, hi, _MC_BLOCK)]
+    batch = max(1, _PAIR_SCAN // n)
     succ = 0
-    for offset in range(0, _MC_BLOCK, batch):
-        scan = [(g, min(batch, size - offset)) for g, size in blocks if size > offset]
-        if not scan:
-            break
-        streams = [g for g, _ in scan]
-        bounds = np.cumsum([0] + [size for _, size in scan]).tolist()
-        drawn = np.empty((2, 2, bounds[-1]), dtype)  # rows 1 and 2, kept until the pools exist
-        slot = np.empty(bounds[-1], np.intp)
-        pools = None
+    for g, block, end in block_streams(seed, lo, hi, _PAIR_BLOCK):
+        for start in range(block, end, batch):
+            count = min(batch, end - start)
+            drawn = np.empty((2, 2, count), dtype)  # rows 1 and 2, kept until the pools exist
+            slot = np.empty(count, np.intp)
+            pools = None
 
-        def draw(a, idx, j):
-            # (p(a) - 1, t(a) - 1) for the pairs idx, from the (2, alive) pool indices j
-            return fisher_yates_step(pools, slot[idx] * (2 * n) + np.array([[a - 1], [n + a - 1]]), j)
+            def draw(a, idx, j):
+                # (p(a) - 1, t(a) - 1) for the pairs idx, from the (2, alive) pool indices j
+                return fisher_yates_step(pools, slot[idx] * (2 * n) + np.array([[a - 1], [n + a - 1]]), j)
 
-        def row(a, idx, z):
-            nonlocal pools
-            j = np.empty((2, idx.size), dtype)
-            for g, s, e in _block_runs(streams, bounds, idx):  # p's indices, then t's
-                j[0, s:e] = g.integers(0, n - a + 1, size=e - s, dtype=dtype)
-                j[1, s:e] = g.integers(0, n - a + 1, size=e - s, dtype=dtype)
-            if a == 1:  # the pools still hold 0..n-1: the values are the indices
-                drawn[0] = j
-                return j[1:] - j[:1]  # t(1) - p(1)
-            if a == 2:  # 1 + j, or 0 where the row-1 swap moved 0 there
-                drawn[1, 0, idx], drawn[1, 1, idx] = j  # per side: a (2, k) scatter is slow
-                one = drawn[0].take(idx, axis=1)
-                two = j + 1
-                two[two == one] = 0
-                low, high = np.minimum(one, two), np.maximum(one, two)
-                return np.stack([low[1] - low[0], high[1] - high[0]])  # sorted t - sorted p
-            if a == 3:  # pools, and Z(2, .), for the pairs alive after row 2 only
-                slot[idx] = np.arange(idx.size)
-                pools = np.tile(np.arange(n, dtype=cell), 2 * idx.size)  # p pool, then t pool
-                one, two = drawn.take(idx, axis=2)
-                z = _z_row(b, *draw(1, idx, one), None)
-                z = _z_row(b, *draw(2, idx, two), z)
-            return _z_row(b, *draw(a, idx, j), z)
+            def row(a, idx, z):
+                nonlocal pools
+                j = g.integers(0, n - a + 1, size=(2, idx.size), dtype=dtype)  # p's indices, then t's
+                if a == 1:  # the pools still hold 0..n-1: the values are the indices
+                    drawn[0] = j
+                    return j[1:] - j[:1]  # t(1) - p(1)
+                if a == 2:  # 1 + j, or 0 where the row-1 swap moved 0 there
+                    drawn[1, 0, idx], drawn[1, 1, idx] = j  # per side: a (2, k) scatter is slow
+                    one = drawn[0].take(idx, axis=1)
+                    two = j + 1
+                    two[two == one] = 0
+                    low, high = np.minimum(one, two), np.maximum(one, two)
+                    return np.stack([low[1] - low[0], high[1] - high[0]])  # sorted t - sorted p
+                if a == 3:  # pools, and Z(2, .), for the pairs alive after row 2 only
+                    slot[idx] = np.arange(idx.size)
+                    pools = np.tile(np.arange(n, dtype=cell), 2 * idx.size)  # p pool, then t pool
+                    one, two = drawn.take(idx, axis=2)
+                    z = _z_row(b, *draw(1, idx, one), None)
+                    z = _z_row(b, *draw(2, idx, two), z)
+                return _z_row(b, *draw(a, idx, j), z)
 
-        succ += _survivors(row, range(1, n), 0, bounds[-1])
+            succ += _survivors(row, range(1, n), 0, count)
     return succ
 
 
@@ -265,13 +263,15 @@ def estimate_comparability(n: int, trials: int, seed: int, workers: int = 1) -> 
     Z(a, b) must stay >= 0 on every row and column; the batched scan drops a
     pair at its first failing row, so failed comparisons stay cheap.  Row n
     is not scanned: Z(n, .) is 0, and its range-1 draws take nothing from
-    the stream.
+    the stream.  Pairs come in blocks of _PAIR_BLOCK, each on its own
+    stream (CSV schema mc-v4), run as tasks of up to four blocks that
+    _pair_block scans one block and sub-batch at a time.
     """
     if n < 1 or trials < 1:
         raise ValueError(f"need n >= 1 and trials >= 1, got n={n} trials={trials}")
     start = time.perf_counter()
     fn = partial(_pair_block, seed=seed, n=n)
-    succ = sum(run_blocks(trials, task_size(_MC_BLOCK, trials, processes(workers)), fn, workers))
+    succ = sum(run_blocks(trials, task_size(_PAIR_BLOCK, trials, processes(workers)), fn, workers))
     return EstimateResult.from_counts(n, trials, succ, seed, time.perf_counter() - start)
 
 

@@ -141,7 +141,7 @@ class TestMc:
         assert len(lines) == 4
 
     def test_workers_do_not_change_bytes(self, tmp_path):
-        # 20000 trials are five blocks, so the two workers split them
+        # 20000 trials are two blocks, so the two workers split them
         outputs = []
         for workers in ("1", "2"):
             out = tmp_path / f"w{workers}.csv"
@@ -149,7 +149,7 @@ class TestMc:
                     "--out", str(out)]
             assert main(argv) == EXIT_OK
             outputs.append(out.read_bytes())
-        assert outputs[0].startswith(b"# schema=mc-v3 ")
+        assert outputs[0].startswith(b"# schema=mc-v4 ")
         assert outputs[0] == outputs[1]
 
     def test_refuses_large_n(self, capsys):
@@ -295,13 +295,13 @@ class TestFit:
         assert out == "" and err.count("\n") == 1 and "not a text file" in err
 
     def test_reads_mc_v1(self, capsys, tmp_path):
-        # and mc-v2: both have the current columns, only their streams differ
+        # and mc-v2 and mc-v3: all have the current columns, only their streams differ
         src = self._make_results(capsys, tmp_path)
         text = src.read_text()
         assert text.startswith(f"# schema={MC_SCHEMA} ")
         code, out_new, _ = run(capsys, "fit", "--input", str(src))
         assert code == EXIT_OK
-        for version in ("mc-v1", "mc-v2"):
+        for version in ("mc-v1", "mc-v2", "mc-v3"):
             old = tmp_path / f"{version}.csv"
             old.write_text(text.replace(f"# schema={MC_SCHEMA} ", f"# schema={version} ", 1))
             code, out_old, _ = run(capsys, "fit", "--input", str(old))
@@ -652,12 +652,12 @@ def _data_digest(text: str) -> str:
         ),
         pytest.param(
             ["mc", "--n", "3,12,40,100", "--trials", "20000", "--seed", "11", "--force"],
-            "cff9671eaca00bde4bdcc3ebe02b028bed22a76f00b36c87b1c451e57eaa367d", id="mc-v3",
+            "1510294a296bf91c42be45b2dc9e2881bddb4b736517b81b7aa11a95b07c6d4f", id="mc-v4",
         ),
         pytest.param(
             ["pipeline-scaling", "--n-grid", "4,6,8,16,32,64", "--trials", "8192,8192,8192,32768,65536,131072",
              "--seed", "20261017"],
-            "ac11e7580b3bf90e7070151f014d0edb3ca59387712f7f0e7c8b11c7d36578b2", id="mc-grid",
+            "e9f53593c7b9a6dc82aea4b21fe4ab6398e4e6d1994607a141de2ff18b0b3685", id="mc-grid",
         ),
         pytest.param(
             ["chainstat", "--n", "256", "--x", "16,64", "--y", "64,16", "--stat", "rect", "--trials", "1000",
@@ -674,7 +674,7 @@ def _data_digest(text: str) -> str:
 def test_output_digest_pinned(capsys, tmp_path, argv, digest, workers):
     # pinned counts miss a change in float summation order; these digests
     # see every byte of the p_hat and interval columns too.  n = 100 draws
-    # each 4096-pair block in two sub-batches
+    # its first 16384-pair block in two sub-batches (10485 + 5899 pairs)
     if argv[0] == "pipeline-scaling":
         argv = argv + ["--out-dir", str(tmp_path)]
     code, out, _ = run(capsys, *argv, "--workers", workers)

@@ -8,6 +8,7 @@ import pytest
 
 from bruhatmc.estimators import (
     _MC_BLOCK,
+    _PAIR_BLOCK,
     EstimateResult,
     _box_block,
     _pair_block,
@@ -55,41 +56,46 @@ class TestWilson:
 
 
 def drawn_pairs(n, count, seed):
-    """Replay, in plain Python, the pairs block 0 of estimate_comparability
-    draws (schema mc-v3); count <= 4096 stays inside block 0.
+    """Replay, in plain Python, the pairs the blocks of estimate_comparability
+    draw (schema mc-v4): blocks of up to 16384 pairs, each from its own
+    stream trial_stream(seed, block).
 
-    Sub-batches hold at most (1 << 18) // n pairs.  Each pair keeps a pool
-    for p and one for t, both 1..n; row a swaps pool[a - 1] with
-    pool[a - 1 + j], j uniform on 0..n-a, so pool[:a] holds the row values
-    drawn so far and pool[a:] the unused ones; every j is drawn in int16.
-    Row a is drawn only for the k pairs whose Z rows 1..a-1 all stayed
-    >= 0, by two calls integers(0, n - a + 1, size=k), p's then t's.
+    Sub-batches hold at most (1 << 20) // n pairs of a block.  Each pair
+    keeps a pool for p and one for t, both 1..n; row a swaps pool[a - 1]
+    with pool[a - 1 + j], j uniform on 0..n-a, so pool[:a] holds the row
+    values drawn so far and pool[a:] the unused ones; every j is drawn in
+    int16.  Row a is drawn only for the k pairs whose Z rows 1..a-1 all
+    stayed >= 0, by one call integers(0, n - a + 1, size=(2, k)): p's
+    indices in its row 0, t's in its row 1.
 
-    Returns (p pool, t pool, rows drawn, Z rows drawn stayed >= 0) per pair.
+    Returns (p pool, t pool, rows drawn, Z rows drawn stayed >= 0) per pair,
+    and the sub-batch sizes.
     """
-    g = trial_stream(seed, 0)
-    batch = max(1, (1 << 18) // n)
-    out = []
-    for start in range(0, count, batch):
-        size = min(batch, count - start)
-        pools = [(list(range(1, n + 1)), list(range(1, n + 1))) for _ in range(size)]
-        zrow = [[0] * n for _ in range(size)]
-        drawn = [0] * size
-        alive = [True] * size
-        for a in range(1, n + 1):
-            live = [i for i in range(size) if alive[i]]
-            if not live:
-                break
-            js = [g.integers(0, n - a + 1, size=len(live), dtype=np.int16).tolist() for _ in range(2)]
-            for k, i in enumerate(live):
-                for pool, j in zip(pools[i], (js[0][k], js[1][k])):
-                    pool[a - 1], pool[a - 1 + j] = pool[a - 1 + j], pool[a - 1]
-                pa, ta = pools[i][0][a - 1], pools[i][1][a - 1]
-                zrow[i] = [z + (b >= pa) - (b >= ta) for b, z in enumerate(zrow[i], 1)]
-                drawn[i] = a
-                alive[i] = min(zrow[i]) >= 0
-        out.extend(zip((p for p, _ in pools), (t for _, t in pools), drawn, alive))
-    return out
+    batch = max(1, (1 << 20) // n)
+    out, sizes = [], []
+    for block in range(0, count, 1 << 14):
+        g, end = trial_stream(seed, block >> 14), min(block + (1 << 14), count)
+        for start in range(block, end, batch):
+            size = min(batch, end - start)
+            sizes.append(size)
+            pools = [(list(range(1, n + 1)), list(range(1, n + 1))) for _ in range(size)]
+            zrow = [[0] * n for _ in range(size)]
+            drawn = [0] * size
+            alive = [True] * size
+            for a in range(1, n + 1):
+                live = [i for i in range(size) if alive[i]]
+                if not live:
+                    break
+                js = g.integers(0, n - a + 1, size=(2, len(live)), dtype=np.int16).tolist()
+                for k, i in enumerate(live):
+                    for pool, j in zip(pools[i], (js[0][k], js[1][k])):
+                        pool[a - 1], pool[a - 1 + j] = pool[a - 1 + j], pool[a - 1]
+                    pa, ta = pools[i][0][a - 1], pools[i][1][a - 1]
+                    zrow[i] = [z + (b >= pa) - (b >= ta) for b, z in enumerate(zrow[i], 1)]
+                    drawn[i] = a
+                    alive[i] = min(zrow[i]) >= 0
+            out.extend(zip((p for p, _ in pools), (t for _, t in pools), drawn, alive))
+    return out, sizes
 
 
 def box_pairs(n, x, y, count, seed):
@@ -114,22 +120,34 @@ def box_pairs(n, x, y, count, seed):
     return pairs, sizes
 
 
-# 7 blocks of pairs, run as tasks of [4, 3], [4, 3], [3, 3, 1] and
-# [2, 2, 2, 1] blocks on 1, 2, 3 and 4 processes
-GROUPED_TRIALS = 6 * _MC_BLOCK + 17
+# 7 comparability blocks of pairs, run as tasks of [4, 3], [4, 3], [3, 3, 1]
+# and [2, 2, 2, 1] blocks on 1, 2, 3 and 4 processes
+GROUPED_TRIALS = 6 * _PAIR_BLOCK + 17
 
 
 def grouped_counts(fn):
     """fn(lo, hi) summed over the tasks that 1, 2, 3 and 4 processes get for
     GROUPED_TRIALS pairs, then over one-block calls."""
-    sizes = [task_size(_MC_BLOCK, GROUPED_TRIALS, workers) for workers in (1, 2, 3, 4)] + [_MC_BLOCK]
+    sizes = [task_size(_PAIR_BLOCK, GROUPED_TRIALS, workers) for workers in (1, 2, 3, 4)] + [_PAIR_BLOCK]
     return [sum(fn(lo, min(lo + size, GROUPED_TRIALS)) for lo in range(0, GROUPED_TRIALS, size)) for size in sizes]
 
 
 def test_task_sizes_group_up_to_four_blocks():
-    assert [task_size(_MC_BLOCK, GROUPED_TRIALS, w) // _MC_BLOCK for w in (1, 2, 3, 4)] == [4, 4, 3, 2]
+    assert [task_size(_PAIR_BLOCK, GROUPED_TRIALS, w) // _PAIR_BLOCK for w in (1, 2, 3, 4)] == [4, 4, 3, 2]
     assert [task_size(8192, 8192 * k, 2) // 8192 for k in (1, 2, 3, 8, 9, 40)] == [1, 1, 2, 4, 4, 4]
     assert task_size(_MC_BLOCK, 1, 10**20) == _MC_BLOCK
+
+
+def traced_peak(fn, *args):
+    """tracemalloc peak of fn(*args), after one call that warms up numpy's
+    allocations."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def as_perm(values):
@@ -137,12 +155,14 @@ def as_perm(values):
 
 
 class TestSurvivalKernel:
-    @pytest.mark.parametrize("n", [1, 2, 5, 12, 100, 127, 128, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 100, 127, 128, 200, 3, 4])
     def test_comparability_matches_strong_order_oracle(self, n):
-        # n = 100 spans two sub-batches: 2621 pairs, then 379; Z cells are
-        # int8 up to n = 127 and int16 from n = 128
-        count, seed = 3000, 123
-        pairs = drawn_pairs(n, count, seed)
+        # n = 100 and 200 span two sub-batches of a block, and n = 3 two
+        # blocks; Z cells are int8 up to n = 127 and int16 from n = 128
+        splits = {100: [10_485, 1_515], 200: [5242, 3758], 3: [16_384, 3616]}
+        sizes, seed = splits.get(n, [3000]), 123
+        pairs, drawn_sizes = drawn_pairs(n, sum(sizes), seed)
+        assert drawn_sizes == sizes
         for p, t, rows, alive in pairs:
             verdict = is_leq_strong(as_perm(p), as_perm(t))
             assert verdict.leq == alive
@@ -151,7 +171,7 @@ class TestSurvivalKernel:
                 assert verdict.witness[0] == rows
                 tail = slice(rows, None)
                 assert not is_leq_strong(as_perm(p[:rows] + p[tail][::-1]), as_perm(t[:rows] + t[tail][::-1])).leq
-        assert estimate_comparability(n, count, seed).successes == sum(alive for *_, alive in pairs)
+        assert estimate_comparability(n, sum(sizes), seed).successes == sum(alive for *_, alive in pairs)
 
     def test_box_window_matches_z_table_oracle(self):
         # n = 240 spans three sub-batches: 1747, 1747, then 2 pairs; n = 127
@@ -225,7 +245,7 @@ class TestSurvivalKernel:
     @pytest.mark.parametrize(
         "estimate, args, successes",
         [
-            (estimate_comparability, (40, 50_000, 2), 27),
+            (estimate_comparability, (40, 50_000, 2), 28),
             (estimate_box_persistence, (1000, 300, 200, 1.0, 3000, 3), 1419),
             (estimate_box_persistence, (60, 20, 20, 0, 400, 9), 128),
             (estimate_box_persistence, (60, 20, 20, 0.5, 400, 9), 258),
@@ -234,7 +254,7 @@ class TestSurvivalKernel:
         ],
     )
     def test_pair_layout_pinned(self, estimate, args, successes):
-        # comparability counts are mc-v3, and its n = 40 blocks are one
+        # comparability counts are mc-v4, and its n = 40 blocks are one
         # sub-batch each; n = 1000 box persistence draws 375 rows of p, then
         # of t, by permutation_rows for each sub-batch of at most 699 pairs
         assert estimate(*args).successes == successes
@@ -249,18 +269,21 @@ class TestComparabilityEstimator:
         # rows 1 and 2 are decided from the drawn indices, so pools and Z
         # exist only for the ~30% of pairs alive after row 2; the int8
         # pools of all 16384 pairs alone would take 2 MiB, their Z 1 MiB more
-        estimate_comparability(64, 16384, 8)  # warm up numpy's allocations
-        tracemalloc.start()
-        try:
-            estimate_comparability(64, 16384, 8)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * 2**20
+        assert traced_peak(estimate_comparability, 64, _PAIR_BLOCK, 8) < 3 * 2**20
+
+    def test_four_block_task_holds_one_sub_batch(self):
+        # a task's blocks are scanned one after another, so one four-block
+        # task peaks as one block does; a scan carrying all four blocks at
+        # once would hold four blocks' pools and Z
+        one = traced_peak(estimate_comparability, 64, _PAIR_BLOCK, 8)
+        assert traced_peak(estimate_comparability, 64, 4 * _PAIR_BLOCK, 8) <= 1.1 * one
 
     def test_ci_contains_exact_n3(self):
-        r = estimate_comparability(3, 200_000, 11)
-        assert r.ci_low <= 19 / 36 <= r.ci_high
+        # a 3.7-sigma Wilson interval: a correct layout fails it about 2e-4
+        # of the time, where it failed a 95% interval one time in twenty
+        r = estimate_comparability(3, 3_200_000, 11)
+        lo, hi = wilson_interval(r.successes, r.trials, z=3.7)
+        assert lo <= 19 / 36 <= hi
 
     def test_reproducible_and_worker_invariant(self):
         a = estimate_comparability(12, 30_000, 5, workers=1)
@@ -270,13 +293,13 @@ class TestComparabilityEstimator:
 
     @pytest.mark.parametrize("n", [12, 100, 3])
     def test_task_grouping_changes_no_count(self, n):
-        # n = 100 draws each block in two sub-batches (2621 + 1475 pairs)
+        # n = 100 draws each block in two sub-batches (10485 + 5899 pairs)
         fn = partial(_pair_block, seed=4, n=n)
         one_block = grouped_counts(fn)[-1]
         counts = [estimate_comparability(n, GROUPED_TRIALS, 4, workers=w).successes for w in (1, 2, 3, 4)]
         assert counts == [one_block] * 4
         # every count is 0 at n = 100; at n = 65 each block draws in two
-        # sub-batches (4032 + 64 pairs), and a few pairs are comparable
+        # sub-batches (16131 + 253 pairs), and a few pairs are comparable
         counts = grouped_counts(partial(_pair_block, seed=4, n=65) if n == 100 else fn)
         assert counts == [counts[-1]] * 5 and counts[0] > 0
 
@@ -358,14 +381,7 @@ class TestBoxPersistence:
         # most 699 pairs; its rows 1..375 of p and t alone, drawn whole,
         # would take 5.9 MiB
         args = (1000, 300, 200, 1.0, _MC_BLOCK, 3)
-        estimate_box_persistence(*args)  # warm up numpy's allocations
-        tracemalloc.start()
-        try:
-            estimate_box_persistence(*args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * 2**20
+        assert traced_peak(estimate_box_persistence, *args) < 5 * 2**20
 
     def test_parameter_bounds(self):
         with pytest.raises(ValueError):

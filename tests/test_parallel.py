@@ -10,7 +10,7 @@ import bruhatmc
 from bruhatmc import _parallel, estimators, zprocess
 from bruhatmc._parallel import processes, run_blocks, shared_pool
 from bruhatmc.cli import EXIT_OK, main
-from bruhatmc.estimators import estimate_box_persistence, estimate_comparability, sheet_persistence
+from bruhatmc.estimators import _PAIR_BLOCK, estimate_box_persistence, estimate_comparability, sheet_persistence
 from bruhatmc.zprocess import max_rect_stat
 
 
@@ -46,22 +46,45 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
+def set_cpus(monkeypatch, count):
+    """Give the machine ``count`` CPUs and let this process run on all of
+    them (None: an unknown count, on a platform that reports no affinity)."""
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: count)
+    if count is None:
+        monkeypatch.delattr(_parallel.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(_parallel.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 def test_processes_is_at_most_cpu_count(monkeypatch):
-    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 3)
+    set_cpus(monkeypatch, 3)
     assert [processes(w) for w in (1, 2, 3, 64, 10**20)] == [1, 2, 3, 3, 3]
-    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: None)  # unknown: one process
+    set_cpus(monkeypatch, None)  # unknown: one process
     assert processes(8) == 1
 
 
+def test_processes_counts_the_cpus_this_process_may_run_on(pool_sizes, monkeypatch):
+    # as under taskset -c 0 on a 2-CPU host: one CPU to run on, no pool
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_parallel.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert processes(2) == 1
+    with shared_pool(2):
+        assert run_blocks(4, 2, _span, workers=2) == [(0, 2), (2, 4)]
+    assert pool_sizes == []
+    # a platform that reports no affinity counts the machine's CPUs
+    monkeypatch.delattr(_parallel.os, "sched_getaffinity", raising=False)
+    assert processes(64) == 2
+
+
 def test_pool_starts_at_most_cpu_count_processes(pool_sizes, monkeypatch):
-    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 3)
+    set_cpus(monkeypatch, 3)
     assert run_blocks(10, 3, _span, workers=5000) == [(0, 3), (3, 6), (6, 9), (9, 10)]
     with shared_pool(10**20):
         assert run_blocks(4, 2, _span, workers=10**20) == [(0, 2), (2, 4)]
     assert run_blocks(4, 2, _span, workers=2) == [(0, 2), (2, 4)]
     # one CPU, or an unknown count, runs in-process and starts no pool
     for cpus in (1, None):
-        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: cpus)
+        set_cpus(monkeypatch, cpus)
         with shared_pool(8):
             assert run_blocks(4, 2, _span, workers=8) == [(0, 2), (2, 4)]
     assert pool_sizes == [3, 3, 2]
@@ -70,7 +93,7 @@ def test_pool_starts_at_most_cpu_count_processes(pool_sizes, monkeypatch):
 # each scan gets 13 of its blocks, so tasks sized for 64 workers would carry
 # one block each, and tasks sized for the 2 processes that run them four
 SCANS = {
-    "comparability": (lambda w: estimate_comparability(8, 13 * 4096, 1, workers=w), 4 * 4096),
+    "comparability": (lambda w: estimate_comparability(8, 13 * _PAIR_BLOCK, 1, workers=w), 4 * _PAIR_BLOCK),
     "box": (lambda w: estimate_box_persistence(64, 8, 8, 1.0, 13 * 4096, 1, workers=w), 4 * 4096),
     "sheet": (lambda w: sheet_persistence(4, 1.0, 13 * 8192, 1, workers=w), 4 * 8192),
     "chainstat": (lambda w: max_rect_stat(64, 8, 8, 13 * 256, 1, workers=w), 4 * 256),
@@ -79,7 +102,7 @@ SCANS = {
 
 @pytest.mark.parametrize("scan, size", SCANS.values(), ids=SCANS.keys())
 def test_scans_size_tasks_for_the_processes_that_run_them(scan, size, monkeypatch):
-    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+    set_cpus(monkeypatch, 2)
     sizes = []
 
     def in_process(total, block_size, fn, workers=1):
@@ -94,7 +117,7 @@ def test_scans_size_tasks_for_the_processes_that_run_them(scan, size, monkeypatc
 
 
 def test_huge_worker_count_runs_on_cpu_count_processes(pool_sizes, capsys, monkeypatch):
-    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+    set_cpus(monkeypatch, 2)
     # --workers 10^20 once overflowed a semaphore before any process started
     argv = ["gauss", "--grid", "8", "--threshold", "1", "--trials", "10", "--seed", "1"]
     assert main(argv) == EXIT_OK
@@ -142,7 +165,7 @@ def test_shared_pool_leaves_counts_unchanged():
 
 
 def test_other_worker_count_reuses_the_active_pool(pool_sizes, monkeypatch):
-    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 4)
+    set_cpus(monkeypatch, 4)
     with shared_pool(2):
         for workers in (3, 64, 2):
             assert run_blocks(10, 3, _span, workers=workers) == [(0, 3), (3, 6), (6, 9), (9, 10)]
