@@ -2,24 +2,27 @@
 
 Comparability, box persistence and sheet persistence each ask whether a
 prefix-sum field stays at or above a floor; all three run on one batched
-kernel, _survivors, a loop of steps that each extend the field by a few
-cells for the trials still alive and drop a trial at the first step where
-it fails.  The kernel holds its cells cells-major: cells on axis 0, trials
-on axis 1, so the floor check, the compaction and the prefix sums work on
-whole rows of trials.  For a permutation pair a step is one row of Z, and
-both pair scans add it by one row update, _z_row; for a sheet it is the
-border that grows the k-1 x k-1 square to k x k.  Comparability draws a
-row only for the pairs still alive, by a row-by-row Fisher-Yates shuffle
-over per-pair pools of unused values, with one index draw per row for p
-and t together; it decides rows 1 and 2 from the drawn indices by sorted
-prefixes, builds pools and Z only for the pairs alive after row 2, and
-stops at row n - 1, since Z(n, .) is 0.  Its index draws use the draw
-dtype (int16, or int32 from n = 2^15), which is part of the stream
-layout; pools and Z cells use a cell dtype that only needs to hold
-[-n, n] (int8 below n = 128), which changes no result.  Box persistence
-draws its window's rows for every pair before its scan with
-perms.permutation_rows, so that its floors stay coupled, builds Z at the
-row before the window in one count, and scans the window's rows.  Sheet
+kernel, _survivors, a loop of steps that each update a small state for
+the trials still alive and drop a trial at the first step where a cell of
+its state falls below the floor.  The kernel holds its states cells-major:
+cells on axis 0, trials on axis 1, so the floor check, the compaction and
+the prefix sums work on whole rows of trials.  For box persistence a step
+is one row of Z on the window's columns, added by one row update, _z_row;
+for a sheet it is the border that grows the k-1 x k-1 square to k x k.
+Comparability checks each row by the tableau criterion on sorted
+prefixes: its state after row a is the sorted p(1..a) and sorted t(1..a)
+minus sorted p(1..a), 2a cells where a row of Z has n.  It draws a row
+only for the pairs still alive, by a row-by-row Fisher-Yates shuffle over
+per-pair pools of unused values, with one index draw per row for p and t
+together; it decides rows 1 and 2 from the drawn indices, builds pools
+only for the pairs alive after row 2, and stops at row n - 1, since
+Z(n, .) is 0.  Its index draws use the draw dtype (int16, or int32 from
+n = 2^15), which is part of the stream layout; pools and state cells use
+a cell dtype that only needs to hold [-n, n] (int8 below n = 128), which
+changes no result.  Box persistence draws its window's rows for every
+pair before its scan with perms.permutation_rows, so that its floors stay
+coupled, builds Z at the row before the window in one count, and scans
+the window's rows.  Sheet
 borders are drawn only for the trials still alive.  Each fixed-size block
 of trials (16384 pairs for comparability, 4096 for box persistence, 8192
 sheets) draws from one counter-based stream keyed by (seed, block index).
@@ -102,11 +105,12 @@ def _survivors(step, steps: range, floor_level: float, count: int, z: np.ndarray
     """Number of a scan's ``count`` trials whose field stays at or above
     ``floor_level`` on every step of ``steps``.
 
-    ``z = step(a, idx, z)`` returns the cells that step a adds for the
-    trials ``idx`` still alive, cells-major: one row per cell, one column
-    per trial, given the cells it returned for them at step a - 1 (the
-    ``z`` passed in at the first step).  The scan drops the trials that
-    fail and stops when none is left.
+    ``z = step(a, idx, z)`` returns the state rows that step a checks for
+    the trials ``idx`` still alive, cells-major: one row per state cell,
+    one column per trial, given the rows it returned for them at step
+    a - 1 (the ``z`` passed in at the first step).  A trial fails at the
+    first step where one of its cells is below the floor; the scan drops
+    the trials that fail and stops when none is left.
     """
     idx = np.arange(count)
     for a in steps:
@@ -142,8 +146,8 @@ def _pair_block(lo: int, hi: int, seed: int, n: int) -> int:
     """Comparable pairs (p <= t) among pairs lo..hi-1, which may span several
     blocks of _PAIR_BLOCK pairs.
 
-    Step a of a scan is row a of Z on columns 1..n (_z_row), checked at
-    floor 0 for rows 1..n - 1.  Each block's pairs come from its own
+    Step a of a scan checks Z(a, .) >= 0 for rows 1..n - 1.  Each block's
+    pairs come from its own
     trial_stream(seed, block) in sub-batches of at most _PAIR_SCAN // n
     pairs, drawn row by row by a Fisher-Yates shuffle (CSV schema mc-v4);
     blocks and their sub-batches are scanned one after another.  Row a is
@@ -154,24 +158,29 @@ def _pair_block(lo: int, hi: int, seed: int, n: int) -> int:
     that side's pool of unused values, which starts as 0..n-1
     (fisher_yates_step).
 
-    Rows 1 and 2 are decided from the drawn indices alone, by the tableau
-    criterion: Z(a, .) >= 0 exactly when the sorted p(1..a) is entrywise at
-    most the sorted t(1..a).  Row 1 takes the values j_p, j_t from the
-    untouched pools and checks the one cell t(1) - p(1); row 2 takes 1 + j,
-    or 0 where 1 + j is that side's row-1 index (the row-1 swap moved 0
-    there), and checks min t - min p and max t - max p.  Only at row 3 do
-    the pairs still alive get pools, rows 1 and 2 replayed into them, and
-    Z(2, .).  A pair's pools sit at its slot, its place among those pairs:
-    pools[slot * 2n : (slot + 1) * 2n], p's pool then t's.  Pools and Z
-    cells use a cell dtype that only needs to hold [-n, n] (int8 below
-    n = 128, else the draw dtype), which changes no result.  A block's
+    Every row is checked by the tableau criterion (Bjorner-Brenti,
+    Combinatorics of Coxeter Groups, Thm 2.1.5): Z(a, .) >= 0 exactly when
+    the sorted p(1..a) is entrywise at most the sorted t(1..a).  Row 1 takes
+    the values j_p, j_t from the untouched pools and checks the one cell
+    t(1) - p(1); row 2 takes 1 + j, or 0 where 1 + j is that side's row-1
+    index (the row-1 swap moved 0 there).  From row 2 on a pair's state is
+    2a cells: the sorted p(1..a), then sorted t(1..a) minus sorted p(1..a),
+    all >= 0 exactly when the pair passes row a, so the floor-0 check on
+    the whole state is the tableau check.  Row a >= 3 inserts p(a) and t(a)
+    into their sorted columns, both sides at once and without a sort:
+    new[i] = min(L[i], max(L[i - 1], v)), which is O(a) cells per pair where
+    a row of Z takes n.  Only at row 3 do the pairs still alive get pools,
+    with rows 1 and 2 replayed into them.  A pair's pools sit at its slot,
+    its place among those pairs: pools[slot * 2n : (slot + 1) * 2n], p's
+    pool then t's.  Pools and state cells use a cell dtype that only needs
+    to hold [-n, n] (int8 below n = 128, else the draw dtype), which
+    changes no result.  A block's
     draws depend only on its own pairs, so the count is the same for any
     grouping of blocks into tasks and any worker count.  ``lo`` must start
     a block.
     """
     dtype = np.int16 if n < 2 ** 15 else np.int32
     cell = np.int8 if n < 128 else dtype
-    b = np.arange(n, dtype=cell)[:, None]  # 0-based b - 1, a column
     batch = max(1, _PAIR_SCAN // n)
     succ = 0
     for g, block, end in block_streams(seed, lo, hi, _PAIR_BLOCK):
@@ -196,15 +205,25 @@ def _pair_block(lo: int, hi: int, seed: int, n: int) -> int:
                     one = drawn[0].take(idx, axis=1)
                     two = j + 1
                     two[two == one] = 0
-                    low, high = np.minimum(one, two), np.maximum(one, two)
-                    return np.stack([low[1] - low[0], high[1] - high[0]])  # sorted t - sorted p
-                if a == 3:  # pools, and Z(2, .), for the pairs alive after row 2 only
+                    state = np.stack([np.minimum(one, two), np.maximum(one, two)], axis=1).astype(cell)
+                    state[1] -= state[0]
+                    return state.reshape(4, -1)  # sorted p, then sorted t - sorted p
+                if a == 3:  # pools for the pairs alive after row 2 only, rows 1 and 2 replayed
                     slot[idx] = np.arange(idx.size)
                     pools = np.tile(np.arange(n, dtype=cell), 2 * idx.size)  # p pool, then t pool
                     one, two = drawn.take(idx, axis=2)
-                    z = _z_row(b, *draw(1, idx, one), None)
-                    z = _z_row(b, *draw(2, idx, two), z)
-                return _z_row(b, *draw(a, idx, j), z)
+                    draw(1, idx, one)
+                    draw(2, idx, two)
+                sides = z.reshape(2, a - 1, -1)
+                sides[1] += sides[0]  # sorted p(1..a-1) and t(1..a-1)
+                v = draw(a, idx, j)[:, None]
+                state = np.empty((2 * a, idx.size), cell)
+                new = state.reshape(2, a, -1)  # insert p(a) and t(a) into their sorted columns
+                np.maximum(sides, v, out=new[:, 1:])
+                np.minimum(new[:, 1:-1], sides[:, 1:], out=new[:, 1:-1])
+                np.minimum(sides[:, 0], v[:, 0], out=new[:, 0])
+                new[1] -= new[0]
+                return state
 
             succ += _survivors(row, range(1, n), 0, count)
     return succ

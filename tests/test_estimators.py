@@ -278,6 +278,11 @@ class TestComparabilityEstimator:
         one = traced_peak(estimate_comparability, 64, _PAIR_BLOCK, 8)
         assert traced_peak(estimate_comparability, 64, 4 * _PAIR_BLOCK, 8) <= 1.1 * one
 
+    def test_large_n_state_is_sorted_prefixes(self):
+        # from row 2 a pair carries 2a sorted-prefix cells, not an n-cell Z
+        # row: at n = 1000 a Z of the row-2 survivors peaked at 2.58 MiB
+        assert traced_peak(estimate_comparability, 1000, _PAIR_BLOCK, 8) < 2 * 2**20
+
     def test_ci_contains_exact_n3(self):
         # a 3.7-sigma Wilson interval: a correct layout fails it about 2e-4
         # of the time, where it failed a 95% interval one time in twenty

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+from concurrent.futures import Future
 import subprocess
 import sys
 from pathlib import Path
@@ -25,7 +26,7 @@ def _pid(lo, hi):
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Replace the process pool by an in-process one that records the
-    max_workers it was asked for, so no test forks a large pool."""
+    max_workers (helpers) it was asked for, so no test forks a large pool."""
     sizes = []
 
     class RecordingPool:
@@ -38,8 +39,10 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def submit(self, fn, *args):
+            done = Future()
+            done.set_result(fn(*args))
+            return done
 
     # shared_pool imports the executor class when it starts a pool
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
@@ -87,7 +90,7 @@ def test_pool_starts_at_most_cpu_count_processes(pool_sizes, monkeypatch):
         set_cpus(monkeypatch, cpus)
         with shared_pool(8):
             assert run_blocks(4, 2, _span, workers=8) == [(0, 2), (2, 4)]
-    assert pool_sizes == [3, 3, 2]
+    assert pool_sizes == [2, 2, 1]  # helpers: the calling process is the other one
 
 
 # each scan gets 13 of its blocks, so tasks sized for 64 workers would carry
@@ -124,7 +127,7 @@ def test_huge_worker_count_runs_on_cpu_count_processes(pool_sizes, capsys, monke
     serial = capsys.readouterr().out
     assert main(argv + ["--workers", str(10**20)]) == EXIT_OK
     assert capsys.readouterr().out == serial
-    assert pool_sizes == [2]
+    assert pool_sizes == [1]
     huge = sheet_persistence(8, 1.0, 40_000, 1, workers=10**20)
     assert huge.successes == sheet_persistence(8, 1.0, 40_000, 1).successes
 
@@ -169,7 +172,7 @@ def test_other_worker_count_reuses_the_active_pool(pool_sizes, monkeypatch):
     with shared_pool(2):
         for workers in (3, 64, 2):
             assert run_blocks(10, 3, _span, workers=workers) == [(0, 3), (3, 6), (6, 9), (9, 10)]
-    assert pool_sizes == [2]
+    assert pool_sizes == [1]
 
 
 def test_calls_and_nested_blocks_reuse_the_outer_pool():
@@ -180,9 +183,37 @@ def test_calls_and_nested_blocks_reuse_the_outer_pool():
             pids.update(run_blocks(16, 1, _pid, workers=2))
         pids.update(run_blocks(16, 1, _pid, workers=2))
         pids.update(run_blocks(16, 1, _pid, workers=3))
-    # a pool per call would show at least one fresh worker per call
-    assert os.getpid() not in pids
-    assert 1 <= len(pids) <= 2
+    # this process and the one helper, in every call: a pool per call would
+    # show at least one fresh helper per call
+    assert os.getpid() in pids
+    assert len(pids) == 2
+
+
+@pytest.mark.skipif(processes(2) < 2, reason="needs two CPUs")
+def test_calling_process_runs_every_other_task():
+    me = os.getpid()
+    pids = run_blocks(4, 1, _pid, workers=2)
+    assert pids[::2] == [me, me]
+    assert pids[1] == pids[3] != me
+
+
+def test_one_task_starts_no_pool(pool_sizes, monkeypatch):
+    set_cpus(monkeypatch, 4)
+    assert run_blocks(3, 4, _pid, workers=4) == [os.getpid()]
+    assert pool_sizes == []
+
+
+def _fail_in_caller(lo, hi):
+    if lo == 0:  # task 0 runs in the calling process
+        raise RuntimeError("boom")
+    return lo
+
+
+def test_exception_in_callers_task_joins_the_helpers():
+    with pytest.raises(RuntimeError, match="boom"):
+        run_blocks(4, 1, _fail_in_caller, workers=2)
+    assert _parallel._shared.get() is None
+    assert multiprocessing.active_children() == []
 
 
 def test_exception_clears_shared_state():
