@@ -50,9 +50,9 @@ EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 EXIT_LOWCOUNT = 4
 
-MC_SCHEMA = "mc-v4"
+MC_SCHEMA = "mc-v5"
 # schemas fit still reads: older rows are identical, only the stream layout differs
-MC_READABLE = (MC_SCHEMA, "mc-v3", "mc-v2", "mc-v1")
+MC_READABLE = (MC_SCHEMA, "mc-v4", "mc-v3", "mc-v2", "mc-v1")
 GAUSS_SCHEMA = "gauss-v3"
 CHAINSTAT_SCHEMA = "chainstat-v3"
 NAIVE_MC_MAX_N = 64
@@ -376,7 +376,10 @@ def _cmd_hyper(args, argv):
     elif args.sample is not None:
         _check_min("--sample", 0, args.sample)
         stream = trial_stream(args.seed)
-        draws = hypergeom_sample(params, stream, size=args.sample)
+        try:
+            draws = hypergeom_sample(params, stream, size=args.sample)
+        except MemoryError:
+            raise ConfigError(f"--sample {args.sample}: too many draws to hold in memory") from None
         hist = {}
         for v in draws.tolist():
             hist[v] = hist.get(v, 0) + 1

@@ -10,29 +10,27 @@ the prefix sums work on whole rows of trials.  For box persistence a step
 is one row of Z on the window's columns, added by one row update, _z_row;
 for a sheet it is the border that grows the k-1 x k-1 square to k x k.
 Comparability checks each row by the tableau criterion on sorted
-prefixes: its state after row a is the sorted p(1..a) and sorted t(1..a)
-minus sorted p(1..a), 2a cells where a row of Z has n.  It draws a row
-only for the pairs still alive, by a row-by-row Fisher-Yates shuffle over
-per-pair pools of unused values, with one index draw per row for p and t
-together; it decides rows 1 and 2 from the drawn indices, builds pools
-only for the pairs alive after row 2, and stops at row n - 1, since
-Z(n, .) is 0.  Its index draws use the draw dtype (int16, or int32 from
-n = 2^15), which is part of the stream layout; pools and state cells use
-a cell dtype that only needs to hold [-n, n] (int8 below n = 128), which
-changes no result.  Box persistence draws its window's rows for every
-pair before its scan with perms.permutation_rows, so that its floors stay
-coupled, builds Z at the row before the window in one count, and scans
-the window's rows.  Sheet
+prefixes: its state after row a is 2a cells, one sorted column of
+p(1..a) and one of t(1..a), where a row of Z has n.  It draws a row only
+for the pairs still alive, with one index draw per row for p and t
+together; an index j picks the j-th smallest value a side has not used,
+which its sorted column already tells, so no pair keeps a pool of unused
+values.  It stops at row n - 1, since Z(n, .) is 0.  Its index draws use
+the draw dtype (int16, or int32 from n = 2^15), which is part of the
+stream layout; state cells use a cell dtype that only needs to hold
+[-n, n] (int8 below n = 128), which changes no result.  Box persistence
+draws its window's rows for every pair before its scan with
+perms.permutation_rows, so that its floors stay coupled, builds Z at the
+row before the window in one count, and scans the window's rows.  Sheet
 borders are drawn only for the trials still alive.  Each fixed-size block
 of trials (16384 pairs for comparability, 4096 for box persistence, 8192
 sheets) draws from one counter-based stream keyed by (seed, block index).
 Every estimator hands _parallel.run_blocks tasks of up to four blocks,
-sized by _parallel.task_size for the processes the run uses; a sheet scan
-carries a task's blocks at once, so that a scan's fixed cost per step is
-shared, while comparability and box persistence scan them one after
-another, in sub-batches that bound their memory.  Results are
-bit-identical no matter how many workers execute the blocks or how tasks
-group them.
+sized by _parallel.task_size for the processes the run uses; comparability
+and sheet scans carry a task's blocks at once, so that a scan's fixed cost
+per step is shared, while box persistence scans them one after another,
+in sub-batches that bound their memory.  Results are bit-identical no
+matter how many workers execute the blocks or how tasks group them.
 """
 from __future__ import annotations
 
@@ -46,11 +44,10 @@ from functools import partial
 import numpy as np
 
 from ._parallel import processes, run_blocks, task_size
-from .perms import block_streams, fisher_yates_step, permutation_rows, prefix_sums
+from .perms import block_streams, permutation_rows, prefix_sums
 
 _Z95 = 1.959963984540054  # normal 97.5% quantile for Wilson intervals
 _PAIR_BLOCK = 1 << 14  # pairs per comparability block; each block owns one stream
-_PAIR_SCAN = 1 << 20  # caps a comparability sub-batch at this // n pairs (pools and Z)
 _MC_BLOCK = 4096  # pairs per box-persistence block; each block owns one stream
 _SHEET_BLOCK = 8192  # trials per sheet block; each block owns one stream
 _PAIR_DRAW = 1 << 18  # caps a box-persistence sub-batch at this // max(window rows, columns) pairs
@@ -124,6 +121,13 @@ def _survivors(step, steps: range, floor_level: float, count: int, z: np.ndarray
     return idx.size
 
 
+def _scan_streams(seed: int, lo: int, hi: int, block: int) -> tuple[list, list[int]]:
+    """The streams of the blocks of ``block`` trials that a scan of trials
+    lo..hi-1 spans, and the bounds _block_runs takes for them."""
+    blocks = block_streams(seed, lo, hi, block)
+    return [g for g, _, _ in blocks], [s - lo for _, s, _ in blocks] + [hi - lo]
+
+
 def _block_runs(streams: list, bounds: list[int], idx: np.ndarray) -> list[tuple]:
     """(stream, s, e) for each block of a scan that has trials alive: they
     are idx[s:e].  ``bounds`` holds each block's first position in the scan,
@@ -144,89 +148,55 @@ def _z_row(b: np.ndarray, vp: np.ndarray, vt: np.ndarray, z: np.ndarray | None) 
 
 def _pair_block(lo: int, hi: int, seed: int, n: int) -> int:
     """Comparable pairs (p <= t) among pairs lo..hi-1, which may span several
-    blocks of _PAIR_BLOCK pairs.
+    blocks of _PAIR_BLOCK pairs, all carried by one scan.
 
-    Step a of a scan checks Z(a, .) >= 0 for rows 1..n - 1.  Each block's
-    pairs come from its own
-    trial_stream(seed, block) in sub-batches of at most _PAIR_SCAN // n
-    pairs, drawn row by row by a Fisher-Yates shuffle (CSV schema mc-v4);
-    blocks and their sub-batches are scanned one after another.  Row a is
-    drawn only for the k pairs still alive after row a - 1, by one call
-    integers(0, n - a + 1, size=(2, k)) whose row 0 holds the p indices and
-    row 1 the t indices, in the draw dtype (int16 below n = 2^15, else
-    int32), which is part of mc-v4.  Index j takes the value at place j of
-    that side's pool of unused values, which starts as 0..n-1
-    (fisher_yates_step).
+    Step a of the scan checks Z(a, .) >= 0 for rows 1..n - 1.  Row a is
+    drawn only for the pairs still alive after row a - 1: each block, from
+    its own trial_stream(seed, block), makes one call
+    integers(0, n - a + 1, size=(2, k)) for its k pairs alive, whose row 0
+    holds the p indices and row 1 the t indices, in the draw dtype (int16
+    below n = 2^15, else int32); all of this is CSV schema mc-v5.  Index j
+    takes the j-th smallest (from 0) value that side has not used yet.
 
     Every row is checked by the tableau criterion (Bjorner-Brenti,
     Combinatorics of Coxeter Groups, Thm 2.1.5): Z(a, .) >= 0 exactly when
-    the sorted p(1..a) is entrywise at most the sorted t(1..a).  Row 1 takes
-    the values j_p, j_t from the untouched pools and checks the one cell
-    t(1) - p(1); row 2 takes 1 + j, or 0 where 1 + j is that side's row-1
-    index (the row-1 swap moved 0 there).  From row 2 on a pair's state is
-    2a cells: the sorted p(1..a), then sorted t(1..a) minus sorted p(1..a),
-    all >= 0 exactly when the pair passes row a, so the floor-0 check on
-    the whole state is the tableau check.  Row a >= 3 inserts p(a) and t(a)
-    into their sorted columns, both sides at once and without a sort:
-    new[i] = min(L[i], max(L[i - 1], v)), which is O(a) cells per pair where
-    a row of Z takes n.  Only at row 3 do the pairs still alive get pools,
-    with rows 1 and 2 replayed into them.  A pair's pools sit at its slot,
-    its place among those pairs: pools[slot * 2n : (slot + 1) * 2n], p's
-    pool then t's.  Pools and state cells use a cell dtype that only needs
-    to hold [-n, n] (int8 below n = 128, else the draw dtype), which
-    changes no result.  A block's
-    draws depend only on its own pairs, so the count is the same for any
-    grouping of blocks into tasks and any worker count.  ``lo`` must start
-    a block.
+    the sorted p(1..a) is entrywise at most the sorted t(1..a).  After row
+    a - 1 a side's sorted values s(0) < ... < s(a - 2) are held as
+    u(i) = s(i) - i, the number of values below s(i) that the side has not
+    used.  u never decreases, so the side's j-th unused value has the
+    #{i : u(i) <= j} used values below it.  Inserting that value keeps the
+    cells below it, puts u = j at its place and moves the cells above it up
+    one place, each less 1: new u(i) = min(u(i), max(u(i - 1), j + 1) - 1),
+    with u(-1) = -inf and u(a - 1) = +inf, for both sides at once, without
+    a sort and without a pool of unused values.  A pair's state after row a
+    is 2a cells, p's u then t's u minus p's u; the sorted p is entrywise at
+    most the sorted t exactly when p's u is at most t's, so the floor-0
+    check on the whole state is the tableau check.  Row 1 is the same step
+    on an empty state.  State cells use a cell dtype that only needs to
+    hold [-n, n] (int8 below n = 128, else the draw dtype), which changes
+    no result.  A block's draws depend only on its own pairs, so the count
+    is the same for any grouping of blocks into tasks and any worker
+    count.  ``lo`` must start a block.
     """
     dtype = np.int16 if n < 2 ** 15 else np.int32
     cell = np.int8 if n < 128 else dtype
-    batch = max(1, _PAIR_SCAN // n)
-    succ = 0
-    for g, block, end in block_streams(seed, lo, hi, _PAIR_BLOCK):
-        for start in range(block, end, batch):
-            count = min(batch, end - start)
-            drawn = np.empty((2, 2, count), dtype)  # rows 1 and 2, kept until the pools exist
-            slot = np.empty(count, np.intp)
-            pools = None
+    streams, bounds = _scan_streams(seed, lo, hi, _PAIR_BLOCK)
 
-            def draw(a, idx, j):
-                # (p(a) - 1, t(a) - 1) for the pairs idx, from the (2, alive) pool indices j
-                return fisher_yates_step(pools, slot[idx] * (2 * n) + np.array([[a - 1], [n + a - 1]]), j)
+    def row(a, idx, z):
+        state = np.empty((2 * a, idx.size), cell)
+        new = state.reshape(2, a, -1)  # p's cells, then t's
+        for g, s, e in _block_runs(streams, bounds, idx):
+            new[:, 0, s:e] = g.integers(0, n - a + 1, size=(2, e - s), dtype=dtype)  # p's j, then t's
+        sides = z.reshape(2, a - 1, idx.size)
+        sides[1] += sides[0]  # t's u back from the difference
+        # insert j: new u(i) = min(u(i), max(u(i - 1), j + 1) - 1)
+        np.maximum(sides, new[:, :1] + 1, out=new[:, 1:])
+        new[:, 1:] -= 1
+        np.minimum(new[:, :-1], sides, out=new[:, :-1])
+        new[1] -= new[0]
+        return state
 
-            def row(a, idx, z):
-                nonlocal pools
-                j = g.integers(0, n - a + 1, size=(2, idx.size), dtype=dtype)  # p's indices, then t's
-                if a == 1:  # the pools still hold 0..n-1: the values are the indices
-                    drawn[0] = j
-                    return j[1:] - j[:1]  # t(1) - p(1)
-                if a == 2:  # 1 + j, or 0 where the row-1 swap moved 0 there
-                    drawn[1, 0, idx], drawn[1, 1, idx] = j  # per side: a (2, k) scatter is slow
-                    one = drawn[0].take(idx, axis=1)
-                    two = j + 1
-                    two[two == one] = 0
-                    state = np.stack([np.minimum(one, two), np.maximum(one, two)], axis=1).astype(cell)
-                    state[1] -= state[0]
-                    return state.reshape(4, -1)  # sorted p, then sorted t - sorted p
-                if a == 3:  # pools for the pairs alive after row 2 only, rows 1 and 2 replayed
-                    slot[idx] = np.arange(idx.size)
-                    pools = np.tile(np.arange(n, dtype=cell), 2 * idx.size)  # p pool, then t pool
-                    one, two = drawn.take(idx, axis=2)
-                    draw(1, idx, one)
-                    draw(2, idx, two)
-                sides = z.reshape(2, a - 1, -1)
-                sides[1] += sides[0]  # sorted p(1..a-1) and t(1..a-1)
-                v = draw(a, idx, j)[:, None]
-                state = np.empty((2 * a, idx.size), cell)
-                new = state.reshape(2, a, -1)  # insert p(a) and t(a) into their sorted columns
-                np.maximum(sides, v, out=new[:, 1:])
-                np.minimum(new[:, 1:-1], sides[:, 1:], out=new[:, 1:-1])
-                np.minimum(sides[:, 0], v[:, 0], out=new[:, 0])
-                new[1] -= new[0]
-                return state
-
-            succ += _survivors(row, range(1, n), 0, count)
-    return succ
+    return _survivors(row, range(1, n), 0, hi - lo, np.empty((0, hi - lo), cell))
 
 
 def _window_z(p: np.ndarray, t: np.ndarray, cols: range) -> np.ndarray:
@@ -283,8 +253,8 @@ def estimate_comparability(n: int, trials: int, seed: int, workers: int = 1) -> 
     pair at its first failing row, so failed comparisons stay cheap.  Row n
     is not scanned: Z(n, .) is 0, and its range-1 draws take nothing from
     the stream.  Pairs come in blocks of _PAIR_BLOCK, each on its own
-    stream (CSV schema mc-v4), run as tasks of up to four blocks that
-    _pair_block scans one block and sub-batch at a time.
+    stream (CSV schema mc-v5), run as tasks of up to four blocks that
+    _pair_block carries in one scan.
     """
     if n < 1 or trials < 1:
         raise ValueError(f"need n >= 1 and trials >= 1, got n={n} trials={trials}")
@@ -380,9 +350,7 @@ def _sheet_block(lo: int, hi: int, seed: int, m: int, floor_level: float, q: flo
     trials, so the count is the same for any grouping of blocks into scans
     and any worker count.  ``lo`` must start a block.
     """
-    blocks = block_streams(seed, lo, hi, _SHEET_BLOCK)
-    streams = [g for g, _, _ in blocks]
-    bounds = [s - lo for _, s, _ in blocks] + [hi - lo]
+    streams, bounds = _scan_streams(seed, lo, hi, _SHEET_BLOCK)
 
     def square(k, idx, z):
         border = np.empty((2 * k - 1, idx.size))

@@ -5,8 +5,9 @@ corresponding permutation matrix, i.e. the matrix has a one at ``(i, p(i))``.
 The matrix itself is never stored; everything is derived from the one-line
 word.  Prefix counts of the matrix live in :class:`DominanceTable`.  The
 package keys each block of trials' stream with :func:`block_streams`, builds
-every prefix table with :func:`prefix_sums` and draws rows of permutations
-with :func:`fisher_yates_step`, batched by :func:`permutation_rows`.
+every prefix table with :func:`prefix_sums` and draws the first rows of
+many permutations at once with :func:`permutation_rows`, a row-by-row
+Fisher-Yates shuffle.
 """
 from __future__ import annotations
 
@@ -130,22 +131,16 @@ def dominance_table(p: Permutation) -> DominanceTable:
     return DominanceTable(n, prefix_sums(counts))
 
 
-def fisher_yates_step(pools: np.ndarray, heads: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """One Fisher-Yates step on flat pools of unused values: return
-    pools[heads + j] and move pools[heads] into the freed slots."""
-    at = heads + j
-    values = pools[at]
-    pools[at] = pools[heads]
-    return values
-
-
 def permutation_rows(n: int, rows: int, count: int, stream: np.random.Generator) -> np.ndarray:
     """Rows 1..``rows`` of ``count`` uniform permutations of [n], a
     (count, rows) array in int16 below n = 2^15, else int32.  Sub-batches of
     max(1, _ROW_DRAW // n) permutations each draw all their indices in one
     call of shape (rows, size), row a's uniform on 0..n - a, and apply them
-    row by row to pools that start as 1..n.  One sub-batch's pools are
-    allocated per call and refilled in place for each sub-batch."""
+    row by row to pools that start as 1..n: row a takes the value at place
+    a - 1 + j of each pool and moves the value at place a - 1 into the
+    freed place, so each pool's places a.. hold its unused values.  One
+    sub-batch's pools are allocated per call and refilled in place for
+    each sub-batch."""
     dtype = np.int16 if n < 2 ** 15 else np.int32
     words = np.empty((rows, count), dtype)  # rows-major: each step writes one run
     batch = max(1, _ROW_DRAW // n)
@@ -154,8 +149,12 @@ def permutation_rows(n: int, rows: int, count: int, stream: np.random.Generator)
         size = min(batch, count - s)
         j = stream.integers(0, n - np.arange(rows)[:, None], size=(rows, size), dtype=dtype)
         pools[:size] = np.arange(1, n + 1, dtype=dtype)
+        flat = pools.reshape(-1)
         for a in range(rows):
-            words[a, s : s + size] = fisher_yates_step(pools.reshape(-1), np.arange(a, size * n, n), j[a])
+            heads = np.arange(a, size * n, n)
+            at = heads + j[a]
+            words[a, s : s + size] = flat[at]
+            flat[at] = flat[heads]
     return words.T
 
 

@@ -107,6 +107,12 @@ class TestHyper:
         code, _, err = run(capsys, "hyper", "--N", "10", "--B", "4", "--A", "5")
         assert code == EXIT_CONFIG
 
+    def test_sample_too_large_for_memory_is_config_error(self, capsys):
+        # 10^14 draws need far more memory than any address space holds
+        code, out, err = run(capsys, "hyper", "--N", "10", "--B", "3", "--A", "2", "--sample", str(10**14))
+        assert code == EXIT_CONFIG
+        assert out == "" and err == f"config error: --sample {10**14}: too many draws to hold in memory\n"
+
     def test_negative_sample_is_config_error(self, capsys):
         code, out, err = run(capsys, "hyper", "--N", "10", "--B", "4", "--A", "5", "--sample", "-1")
         assert code == EXIT_CONFIG
@@ -149,7 +155,7 @@ class TestMc:
                     "--out", str(out)]
             assert main(argv) == EXIT_OK
             outputs.append(out.read_bytes())
-        assert outputs[0].startswith(b"# schema=mc-v4 ")
+        assert outputs[0].startswith(b"# schema=mc-v5 ")
         assert outputs[0] == outputs[1]
 
     def test_refuses_large_n(self, capsys):
@@ -179,9 +185,9 @@ class TestMc:
 
 
 class TestFit:
-    def _make_results(self, capsys, tmp_path, grid="4,6,8,12", trials="20000"):
+    def _make_results(self, capsys, tmp_path, grid="4,6,8,12", trials="20000", *extra):
         out_file = tmp_path / "results.csv"
-        run(capsys, "mc", "--n", grid, "--trials", trials, "--seed", "3", "--out", str(out_file))
+        run(capsys, "mc", "--n", grid, "--trials", trials, "--seed", "3", "--out", str(out_file), *extra)
         return out_file
 
     def test_fit_from_csv(self, capsys, tmp_path):
@@ -272,18 +278,19 @@ class TestFit:
 
     @pytest.mark.parametrize("command", ["fit", "pipeline-scaling"])
     def test_exclusions_are_one_line_messages(self, capsys, tmp_path, command):
-        # n = 64 has no successes at this budget and is excluded from the fit
+        # n = 1024 (P about 1.4e-12) has no successes at this budget under
+        # any stream layout, and is excluded from the fit
         if command == "fit":
-            src = self._make_results(capsys, tmp_path, grid="4,6,8,12,64", trials="2000")
+            src = self._make_results(capsys, tmp_path, "4,6,8,12,1024", "2000", "--force")
             argv = ["fit", "--input", str(src)]
         else:
-            argv = ["pipeline-scaling", "--n-grid", "4,6,8,12,64", "--trials", "2000", "--seed", "3",
+            argv = ["pipeline-scaling", "--n-grid", "4,6,8,12,1024", "--trials", "2000", "--seed", "3", "--force",
                     "--out-dir", str(tmp_path / "run")]
         code, _, err = run(capsys, *argv)
         assert code == EXIT_OK
         excluded = [line for line in err.splitlines() if "excluding" in line]
         assert excluded == [
-            f"{'fit' if command == 'fit' else 'scaling fit'}: excluding n=64: p_hat=0.0 has no usable log variance"
+            f"{'fit' if command == 'fit' else 'scaling fit'}: excluding n=1024: p_hat=0.0 has no usable log variance"
         ]
         assert "UserWarning" not in err and ".py" not in err and "warnings.warn" not in err
 
@@ -295,13 +302,13 @@ class TestFit:
         assert out == "" and err.count("\n") == 1 and "not a text file" in err
 
     def test_reads_mc_v1(self, capsys, tmp_path):
-        # and mc-v2 and mc-v3: all have the current columns, only their streams differ
+        # and mc-v2 to mc-v4: all have the current columns, only their streams differ
         src = self._make_results(capsys, tmp_path)
         text = src.read_text()
         assert text.startswith(f"# schema={MC_SCHEMA} ")
         code, out_new, _ = run(capsys, "fit", "--input", str(src))
         assert code == EXIT_OK
-        for version in ("mc-v1", "mc-v2", "mc-v3"):
+        for version in ("mc-v1", "mc-v2", "mc-v3", "mc-v4"):
             old = tmp_path / f"{version}.csv"
             old.write_text(text.replace(f"# schema={MC_SCHEMA} ", f"# schema={version} ", 1))
             code, out_old, _ = run(capsys, "fit", "--input", str(old))
@@ -652,12 +659,12 @@ def _data_digest(text: str) -> str:
         ),
         pytest.param(
             ["mc", "--n", "3,12,40,100", "--trials", "20000", "--seed", "11", "--force"],
-            "1510294a296bf91c42be45b2dc9e2881bddb4b736517b81b7aa11a95b07c6d4f", id="mc-v4",
+            "1a45ddee929116332c415dd025c5af92a849bc731b4bdf07ab678cbc0f769c41", id="mc-v5",
         ),
         pytest.param(
             ["pipeline-scaling", "--n-grid", "4,6,8,16,32,64", "--trials", "8192,8192,8192,32768,65536,131072",
              "--seed", "20261017"],
-            "e9f53593c7b9a6dc82aea4b21fe4ab6398e4e6d1994607a141de2ff18b0b3685", id="mc-grid",
+            "076d58d51f5c1b3df18456f155f229e1ca0af04a9ac91cd0493477ea5ced6f17", id="mc-grid",
         ),
         pytest.param(
             ["chainstat", "--n", "256", "--x", "16,64", "--y", "64,16", "--stat", "rect", "--trials", "1000",
@@ -673,8 +680,7 @@ def _data_digest(text: str) -> str:
 )
 def test_output_digest_pinned(capsys, tmp_path, argv, digest, workers):
     # pinned counts miss a change in float summation order; these digests
-    # see every byte of the p_hat and interval columns too.  n = 100 draws
-    # its first 16384-pair block in two sub-batches (10485 + 5899 pairs)
+    # see every byte of the p_hat and interval columns too
     if argv[0] == "pipeline-scaling":
         argv = argv + ["--out-dir", str(tmp_path)]
     code, out, _ = run(capsys, *argv, "--workers", workers)

@@ -57,45 +57,44 @@ class TestWilson:
 
 def drawn_pairs(n, count, seed):
     """Replay, in plain Python, the pairs the blocks of estimate_comparability
-    draw (schema mc-v4): blocks of up to 16384 pairs, each from its own
+    draw (schema mc-v5): blocks of up to 16384 pairs, each from its own
     stream trial_stream(seed, block).
 
-    Sub-batches hold at most (1 << 20) // n pairs of a block.  Each pair
-    keeps a pool for p and one for t, both 1..n; row a swaps pool[a - 1]
-    with pool[a - 1 + j], j uniform on 0..n-a, so pool[:a] holds the row
-    values drawn so far and pool[a:] the unused ones; every j is drawn in
-    int16.  Row a is drawn only for the k pairs whose Z rows 1..a-1 all
-    stayed >= 0, by one call integers(0, n - a + 1, size=(2, k)): p's
-    indices in its row 0, t's in its row 1.
+    Row a takes, for p and for t, the value at place j (from 0) of that
+    side's unused values in increasing order, with j uniform on 0..n-a,
+    drawn in int16 below n = 2^15, else in int32.  Row a is drawn only for
+    the k pairs of a block whose Z rows 1..a-1 all stayed >= 0, by one call
+    integers(0, n - a + 1, size=(2, k)): p's indices in its row 0, t's in
+    its row 1.
 
-    Returns (p pool, t pool, rows drawn, Z rows drawn stayed >= 0) per pair,
-    and the sub-batch sizes.
+    Returns (p, t, rows drawn, Z rows drawn stayed >= 0) per pair, where p
+    and t are the drawn values followed by the unused ones in increasing
+    order.
     """
-    batch = max(1, (1 << 20) // n)
-    out, sizes = [], []
+    dtype = np.int16 if n < 2 ** 15 else np.int32
+    out = []
     for block in range(0, count, 1 << 14):
-        g, end = trial_stream(seed, block >> 14), min(block + (1 << 14), count)
-        for start in range(block, end, batch):
-            size = min(batch, end - start)
-            sizes.append(size)
-            pools = [(list(range(1, n + 1)), list(range(1, n + 1))) for _ in range(size)]
-            zrow = [[0] * n for _ in range(size)]
-            drawn = [0] * size
-            alive = [True] * size
-            for a in range(1, n + 1):
-                live = [i for i in range(size) if alive[i]]
-                if not live:
-                    break
-                js = g.integers(0, n - a + 1, size=(2, len(live)), dtype=np.int16).tolist()
-                for k, i in enumerate(live):
-                    for pool, j in zip(pools[i], (js[0][k], js[1][k])):
-                        pool[a - 1], pool[a - 1 + j] = pool[a - 1 + j], pool[a - 1]
-                    pa, ta = pools[i][0][a - 1], pools[i][1][a - 1]
-                    zrow[i] = [z + (b >= pa) - (b >= ta) for b, z in enumerate(zrow[i], 1)]
-                    drawn[i] = a
-                    alive[i] = min(zrow[i]) >= 0
-            out.extend(zip((p for p, _ in pools), (t for _, t in pools), drawn, alive))
-    return out, sizes
+        g, size = trial_stream(seed, block >> 14), min(1 << 14, count - block)
+        words = [([], []) for _ in range(size)]
+        alive = [True] * size
+        for a in range(1, n + 1):
+            live = [i for i in range(size) if alive[i]]
+            if not live:
+                break
+            js = g.integers(0, n - a + 1, size=(2, len(live)), dtype=dtype).tolist()
+            for k, i in enumerate(live):
+                for word, j in zip(words[i], (js[0][k], js[1][k])):
+                    # walk up from j + 1 past each used value at or below it
+                    v = j + 1
+                    for u in sorted(word):
+                        v += u <= v
+                    word.append(v)
+                p, t = words[i]
+                # Z(a, .) steps only at the drawn values, and Z(a, b) = 0 below them all
+                alive[i] = min(sum(v <= b for v in p) - sum(v <= b for v in t) for b in p + t) >= 0
+        for (p, t), ok in zip(words, alive):
+            out.append(tuple(w + sorted(set(range(1, n + 1)).difference(w)) for w in (p, t)) + (len(p), ok))
+    return out
 
 
 def box_pairs(n, x, y, count, seed):
@@ -155,14 +154,12 @@ def as_perm(values):
 
 
 class TestSurvivalKernel:
-    @pytest.mark.parametrize("n", [1, 2, 5, 12, 100, 127, 128, 200, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 100, 127, 128, 200, 3, 4, 2**15])
     def test_comparability_matches_strong_order_oracle(self, n):
-        # n = 100 and 200 span two sub-batches of a block, and n = 3 two
-        # blocks; Z cells are int8 up to n = 127 and int16 from n = 128
-        splits = {100: [10_485, 1_515], 200: [5242, 3758], 3: [16_384, 3616]}
-        sizes, seed = splits.get(n, [3000]), 123
-        pairs, drawn_sizes = drawn_pairs(n, sum(sizes), seed)
-        assert drawn_sizes == sizes
+        # n = 3 spans two blocks, carried by one scan; state cells are int8
+        # up to n = 127 and int16 from n = 128, and n = 2^15 draws in int32
+        count, seed = {3: 20_000, 2**15: 300}.get(n, 3000), 123
+        pairs = drawn_pairs(n, count, seed)
         for p, t, rows, alive in pairs:
             verdict = is_leq_strong(as_perm(p), as_perm(t))
             assert verdict.leq == alive
@@ -171,7 +168,7 @@ class TestSurvivalKernel:
                 assert verdict.witness[0] == rows
                 tail = slice(rows, None)
                 assert not is_leq_strong(as_perm(p[:rows] + p[tail][::-1]), as_perm(t[:rows] + t[tail][::-1])).leq
-        assert estimate_comparability(n, sum(sizes), seed).successes == sum(alive for *_, alive in pairs)
+        assert _pair_block(0, count, seed, n) == sum(alive for *_, alive in pairs)
 
     def test_box_window_matches_z_table_oracle(self):
         # n = 240 spans three sub-batches: 1747, 1747, then 2 pairs; n = 127
@@ -245,7 +242,7 @@ class TestSurvivalKernel:
     @pytest.mark.parametrize(
         "estimate, args, successes",
         [
-            (estimate_comparability, (40, 50_000, 2), 28),
+            (estimate_comparability, (40, 50_000, 2), 30),
             (estimate_box_persistence, (1000, 300, 200, 1.0, 3000, 3), 1419),
             (estimate_box_persistence, (60, 20, 20, 0, 400, 9), 128),
             (estimate_box_persistence, (60, 20, 20, 0.5, 400, 9), 258),
@@ -254,9 +251,9 @@ class TestSurvivalKernel:
         ],
     )
     def test_pair_layout_pinned(self, estimate, args, successes):
-        # comparability counts are mc-v4, and its n = 40 blocks are one
-        # sub-batch each; n = 1000 box persistence draws 375 rows of p, then
-        # of t, by permutation_rows for each sub-batch of at most 699 pairs
+        # comparability counts are mc-v5; n = 1000 box persistence draws
+        # 375 rows of p, then of t, by permutation_rows for each sub-batch
+        # of at most 699 pairs
         assert estimate(*args).successes == successes
 
 
@@ -265,22 +262,21 @@ class TestComparabilityEstimator:
         r = estimate_comparability(1, 100, 0)
         assert r.p_hat == 1.0 and r.successes == 100
 
-    def test_comparability_pools_only_for_row_two_survivors(self):
-        # rows 1 and 2 are decided from the drawn indices, so pools and Z
-        # exist only for the ~30% of pairs alive after row 2; the int8
-        # pools of all 16384 pairs alone would take 2 MiB, their Z 1 MiB more
-        assert traced_peak(estimate_comparability, 64, _PAIR_BLOCK, 8) < 3 * 2**20
+    def test_one_block_holds_no_pools(self):
+        # a pair carries only its 2a sorted-prefix cells, which say which
+        # values each side has used: the 2n-cell pools of unused values
+        # that an n = 64 block kept before mc-v5 peaked at 1.24 MiB
+        assert traced_peak(estimate_comparability, 64, _PAIR_BLOCK, 8) < 2**19
 
-    def test_four_block_task_holds_one_sub_batch(self):
-        # a task's blocks are scanned one after another, so one four-block
-        # task peaks as one block does; a scan carrying all four blocks at
-        # once would hold four blocks' pools and Z
-        one = traced_peak(estimate_comparability, 64, _PAIR_BLOCK, 8)
-        assert traced_peak(estimate_comparability, 64, 4 * _PAIR_BLOCK, 8) <= 1.1 * one
+    def test_four_block_task_memory_is_bounded(self):
+        # one scan carries a task's four blocks at once; its pairs' states
+        # are O(a) cells, so the peak stays small at any n
+        for n in (64, 4096):
+            assert traced_peak(estimate_comparability, n, 4 * _PAIR_BLOCK, 8) < 2 * 2**20, n
 
     def test_large_n_state_is_sorted_prefixes(self):
-        # from row 2 a pair carries 2a sorted-prefix cells, not an n-cell Z
-        # row: at n = 1000 a Z of the row-2 survivors peaked at 2.58 MiB
+        # a pair carries 2a sorted-prefix cells, not an n-cell Z row: at
+        # n = 1000 a Z of the row-2 survivors peaked at 2.58 MiB
         assert traced_peak(estimate_comparability, 1000, _PAIR_BLOCK, 8) < 2 * 2**20
 
     def test_ci_contains_exact_n3(self):
@@ -298,13 +294,11 @@ class TestComparabilityEstimator:
 
     @pytest.mark.parametrize("n", [12, 100, 3])
     def test_task_grouping_changes_no_count(self, n):
-        # n = 100 draws each block in two sub-batches (10485 + 5899 pairs)
         fn = partial(_pair_block, seed=4, n=n)
         one_block = grouped_counts(fn)[-1]
         counts = [estimate_comparability(n, GROUPED_TRIALS, 4, workers=w).successes for w in (1, 2, 3, 4)]
         assert counts == [one_block] * 4
-        # every count is 0 at n = 100; at n = 65 each block draws in two
-        # sub-batches (16131 + 253 pairs), and a few pairs are comparable
+        # every count is 0 at n = 100; at n = 65 a few pairs are comparable
         counts = grouped_counts(partial(_pair_block, seed=4, n=65) if n == 100 else fn)
         assert counts == [counts[-1]] * 5 and counts[0] > 0
 
