@@ -1,13 +1,19 @@
 """Command line front end.
 
-Data goes to stdout or to the files named by --out/--out-dir; progress and
-warnings go to stderr, so pipelines compose.  File-producing runs also write
-a JSON manifest recording the exact argv, seed, software version and output
-digests; re-running a manifest's argv reproduces the data files byte for
-byte (manifests themselves carry timestamps and are not compared).
+Each command checks its inputs, runs, and returns what it produced, and
+writes nothing itself: either a JSON payload for stdout, or a map from
+output path (None for stdout) to text together with the manifest params.
+main alone writes: the payload or texts go to stdout and to the files named
+by --out/--out-dir, and a run that writes files also writes a JSON manifest
+next to the first, recording the exact argv, the params (led by the
+command), software version and output digests; re-running a manifest's argv
+reproduces the data files byte for byte (manifests themselves carry
+timestamps and are not compared).  Progress and warnings go to stderr, so
+pipelines compose.
 
-Exit codes: 0 success, 2 configuration error, 3 invariant violation,
-4 LOW-COUNT refusal.
+main also maps the commands' exceptions to exit codes: 0 success,
+2 configuration error, 3 invariant violation (the run's output is still
+written first), 4 LOW-COUNT refusal.
 """
 from __future__ import annotations
 
@@ -42,7 +48,7 @@ from .estimators import (
 )
 from .fkg import UPSET_CAP, fkg_check, random_upset
 from .order import EXACT_COUNT_CAP, exact_comparability_count, is_leq_strong, is_leq_weak
-from .perms import Permutation, parse_permutation, trial_stream
+from .perms import MAX_TABLE_SIZE, Permutation, parse_permutation, trial_stream
 from .zprocess import max_rect_stat, max_strip_stat, z_table
 
 EXIT_OK = 0
@@ -66,7 +72,12 @@ class ConfigError(Exception):
 
 
 class InvariantViolation(Exception):
-    pass
+    """A theorem failed to hold; ``result`` is the command's result, which
+    main writes before the one-line message."""
+
+    def __init__(self, message: str, result):
+        super().__init__(message)
+        self.result = result
 
 
 class LowCountRefusal(Exception):
@@ -149,12 +160,6 @@ def _writing(path: Path):
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _write_text(path: Path, text: str):
-    with _writing(path):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-
-
 def _check_writable(out: str | None):
     """Fail before a long estimate, not after it, when --out cannot be
     written; a file this creates is removed again."""
@@ -169,15 +174,6 @@ def _check_writable(out: str | None):
             path.unlink()
 
 
-def _emit(text: str, out: str | None) -> list[Path]:
-    if out is None:
-        sys.stdout.write(text)
-        return []
-    path = Path(out)
-    _write_text(path, text)
-    return [path]
-
-
 def _csv_text(schema: str, meta: dict, header: list[str], rows: list[list]) -> str:
     tags = " ".join(f"{k}={v}" for k, v in meta.items())
     lines = [f"# schema={schema} software=bruhatmc-{__version__}" + (f" {tags}" if tags else "")]
@@ -190,23 +186,6 @@ def _csv_text(schema: str, meta: dict, header: list[str], rows: list[list]) -> s
 def _json_text(payload: dict) -> str:
     # strict JSON: a NaN or infinity fails here instead of in a reader
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def _write_manifest(outputs: list[Path], argv: list[str], params: dict, started: str):
-    if not outputs:
-        return
-    manifest = {
-        "schema": "manifest-v1",
-        "software_version": __version__,
-        "argv": argv,
-        "params": params,
-        "started": started,
-        "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "outputs": {
-            str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs
-        },
-    }
-    _write_text(outputs[0].with_name(outputs[0].name + ".manifest.json"), _json_text(manifest))
 
 
 def rerun_manifest(path: str | Path) -> int:
@@ -269,7 +248,7 @@ def _parse_pair(args) -> tuple[Permutation, Permutation]:
     return p, t
 
 
-def _cmd_check(args, argv):
+def _cmd_check(args):
     p, t = _parse_pair(args)
     if args.order == "strong":
         verdict = is_leq_strong(p, t)
@@ -287,16 +266,15 @@ def _cmd_check(args, argv):
             "tau": args.tau,
             "leq": is_leq_weak(p, t),
         }
-    sys.stdout.write(_json_text(payload))
-    return EXIT_OK
+    return payload
 
 
-def _cmd_exact(args, argv):
+def _cmd_exact(args):
     _check_min("--n", 1, args.n)
     if args.n > EXACT_COUNT_CAP:
         raise ConfigError(f"--n {args.n} above the exact-count cap {EXACT_COUNT_CAP}")
     count = exact_comparability_count(args.n)
-    payload = {
+    return {
         "n": count.n,
         "comparable_pairs": count.comparable_pairs,
         "total_pairs": count.total_pairs,
@@ -304,19 +282,17 @@ def _cmd_exact(args, argv):
         "probability_float": float(count.probability),
         "version": __version__,
     }
-    sys.stdout.write(_json_text(payload))
-    return EXIT_OK
 
 
-def _cmd_zmin(args, argv):
+def _cmd_zmin(args):
     p, t = _parse_pair(args)
+    if p.n > MAX_TABLE_SIZE:
+        raise ConfigError(f"--pi and --tau: size {p.n} above the table cap {MAX_TABLE_SIZE}")
     value, a, b = z_table(p, t).min_entry()
-    sys.stdout.write(_json_text({"min": value, "argmin": [a, b], "leq": value >= 0}))
-    return EXIT_OK
+    return {"min": value, "argmin": [a, b], "leq": value >= 0}
 
 
-def _cmd_chainstat(args, argv):
-    started = _now()
+def _cmd_chainstat(args):
     xs = _int_list(args.x, "--x")
     ys = _int_list(args.y, "--y")
     if len(xs) != len(ys):
@@ -341,21 +317,13 @@ def _cmd_chainstat(args, argv):
             rows.append([args.n, x, y, summary.mean, summary.stderr, normalizer])
             _log(f"chainstat {args.stat} n={args.n} x={x} y={y}: mean={summary.mean:.4f}")
     meta = {"stat": args.stat, "trials": args.trials, "seed": args.seed}
-    outputs = _emit(_csv_text(CHAINSTAT_SCHEMA, meta, CHAINSTAT_COLUMNS, rows), args.out)
-    params = {
-        "command": "chainstat",
-        "n": args.n,
-        "x": xs,
-        "y": ys,
-        "stat": args.stat,
-        "trials": args.trials,
-        "seed": args.seed,
-    }
-    _write_manifest(outputs, argv, params, started)
-    return EXIT_OK
+    text = _csv_text(CHAINSTAT_SCHEMA, meta, CHAINSTAT_COLUMNS, rows)
+    return {args.out: text}, {"n": args.n, "x": xs, "y": ys, **meta}
 
 
-def _cmd_hyper(args, argv):
+def _cmd_hyper(args):
+    if (args.k is not None) + args.moments + (args.sample is not None) != 1:
+        raise ConfigError("hyper: pass exactly one of --k, --moments, --sample")
     if not (0 <= args.A <= args.N and 0 <= args.B <= args.N):
         raise ConfigError(f"need 0 <= --A, --B <= --N, got N={args.N} B={args.B} A={args.A}")
     _check_seed("--seed", args.seed)
@@ -373,7 +341,7 @@ def _cmd_hyper(args, argv):
         payload["mean_float"] = float(mean)
         payload["variance"] = str(var)
         payload["variance_float"] = float(var)
-    elif args.sample is not None:
+    else:
         _check_min("--sample", 0, args.sample)
         stream = trial_stream(args.seed)
         try:
@@ -386,20 +354,17 @@ def _cmd_hyper(args, argv):
         payload["trials"] = args.sample
         payload["seed"] = args.seed
         payload["histogram"] = {str(k): hist[k] for k in sorted(hist)}
-    else:
-        raise ConfigError("hyper: pass one of --k, --moments, --sample")
-    sys.stdout.write(_json_text(payload))
-    return EXIT_OK
+    return payload
 
 
-def _cmd_bernratio(args, argv):
+def _cmd_bernratio(args):
     _check_min("--n", 2, args.n)
     _check_min("--k", 0, args.k)
     side = submatrix_side(args.n)
     if args.k > side:
         raise ConfigError(f"--k {args.k} above the hypergeometric support (N={side})")
     result = bernoulli_ratio(args.n, args.k)
-    payload = {
+    return {
         "n": result.n,
         "k": result.k,
         "submatrix_side": result.submatrix_side,
@@ -407,8 +372,6 @@ def _cmd_bernratio(args, argv):
         "regime_ok": result.regime_ok,
         "version": __version__,
     }
-    sys.stdout.write(_json_text(payload))
-    return EXIT_OK
 
 
 def _refuse_naive_mc(n_max: int, force: bool, hint: str):
@@ -442,22 +405,27 @@ def _mc_grid(ns: list[int], trials: list[int], seed: int, workers: int) -> list[
     )
 
 
-def _cmd_mc(args, argv):
-    started = _now()
-    ns = _int_list(args.n, "--n")
-    trials = _broadcast(_int_list(args.trials, "--trials"), len(ns), "--trials")
-    _check_min("--n", 1, *ns)
-    _check_distinct("--n", ns)
+def _grid(args, text: str, flag: str) -> tuple[list[int], list[int]]:
+    """mc's and gauss's sizes from ``text`` and the trials of each, checked
+    with --seed and --workers."""
+    sizes = _int_list(text, flag)
+    trials = _broadcast(_int_list(args.trials, "--trials"), len(sizes), "--trials")
+    _check_min(flag, 1, *sizes)
+    _check_distinct(flag, sizes)
     _check_min("--trials", 1, *trials)
     _check_min("workers", 1, args.workers)
     _check_seed("--seed", args.seed)
+    return sizes, trials
+
+
+def _cmd_mc(args):
+    ns, trials = _grid(args, args.n, "--n")
     _refuse_naive_mc(max(ns), args.force, "pass --force")
     _check_writable(args.out)
     results = _mc_grid(ns, trials, args.seed, args.workers)
     meta = {"seed": args.seed}
-    outputs = _emit(_csv_text(MC_SCHEMA, meta, MC_COLUMNS, _estimate_rows(results)), args.out)
-    _write_manifest(outputs, argv, {"command": "mc", "n": ns, "trials": trials, "seed": args.seed}, started)
-    return EXIT_OK
+    text = _csv_text(MC_SCHEMA, meta, MC_COLUMNS, _estimate_rows(results))
+    return {args.out: text}, {"n": ns, "trials": trials, **meta}
 
 
 def _fit_payload(results: list[EstimateResult], include_low_count: bool, label: str) -> dict:
@@ -485,24 +453,13 @@ def _fit_payload(results: list[EstimateResult], include_low_count: bool, label: 
     return payload
 
 
-def _cmd_fit(args, argv):
-    started = _now()
-    results = _read_mc_csv(args.input)
-    payload = _fit_payload(results, args.include_low_count, "fit")
-    outputs = _emit(_json_text(payload), args.out)
-    _write_manifest(outputs, argv, {"command": "fit", "input": args.input}, started)
-    return EXIT_OK
+def _cmd_fit(args):
+    payload = _fit_payload(_read_mc_csv(args.input), args.include_low_count, "fit")
+    return {args.out: _json_text(payload)}, {"input": args.input}
 
 
-def _cmd_gauss(args, argv):
-    started = _now()
-    grid = _int_list(args.grid, "--grid")
-    trials = _broadcast(_int_list(args.trials, "--trials"), len(grid), "--trials")
-    _check_min("--grid", 1, *grid)
-    _check_distinct("--grid", grid)
-    _check_min("--trials", 1, *trials)
-    _check_min("workers", 1, args.workers)
-    _check_seed("--seed", args.seed)
+def _cmd_gauss(args):
+    grid, trials = _grid(args, args.grid, "--grid")
     if not (math.isfinite(args.threshold) and args.threshold >= 0):
         raise ConfigError(f"--threshold must be finite and >= 0, got {args.threshold}")
     if args.p is not None and args.mode != "zeta":
@@ -521,22 +478,20 @@ def _cmd_gauss(args, argv):
     meta = {"mode": args.mode, "threshold": args.threshold, "seed": args.seed}
     if args.mode == "zeta":
         meta["p"] = "default-1/m^2" if args.p is None else args.p
-    header = ["m"] + MC_COLUMNS[1:]
-    outputs = _emit(_csv_text(GAUSS_SCHEMA, meta, header, _estimate_rows(results)), args.out)
-    _write_manifest(outputs, argv, {"command": "gauss", "grid": grid, "seed": args.seed}, started)
     try:
         fit = psi_fit(results)
         _log(f"psi_hat={fit.psi_hat:.4f} +- {fit.stderr:.4f}")
     except ValueError as exc:
         _log(f"psi fit skipped: {exc}")
-    return EXIT_OK
+    text = _csv_text(GAUSS_SCHEMA, meta, ["m"] + MC_COLUMNS[1:], _estimate_rows(results))
+    return {args.out: text}, {"grid": grid, "trials": trials, **meta}
 
 
-def _cmd_lishao(args, argv):
+def _cmd_lishao(args):
     _check_min("--rho", 2, args.rho)
     _check_min("--index-range", 1, args.index_range)
     result = li_shao_sum(args.rho, args.index_range)
-    payload = {
+    return {
         "rho": result.rho,
         "index_range": result.index_range,
         "closed_form": str(result.closed_form),
@@ -546,11 +501,9 @@ def _cmd_lishao(args, argv):
         "bound_satisfied": result.bound_satisfied,
         "version": __version__,
     }
-    sys.stdout.write(_json_text(payload))
-    return EXIT_OK
 
 
-def _cmd_fkg(args, argv):
+def _cmd_fkg(args):
     _check_min("--n", 1, args.n)
     if args.n > UPSET_CAP:
         raise ConfigError(f"--n {args.n} above the up-set cap {UPSET_CAP}")
@@ -574,13 +527,14 @@ def _cmd_fkg(args, argv):
     gap, idx, report = worst
     lines.append(f"# extremal pair {idx}: lhs-rhs = {gap} (lhs={report.lhs} rhs={report.rhs})")
     lines.append(f"# violations: {violations}/{args.pairs}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    result = ({None: "\n".join(lines) + "\n"}, None)
     if violations:
         raise InvariantViolation(
             f"{violations} FKG violations at n={args.n}: positive correlation of "
-            "up-sets is a theorem, so this is an implementation bug"
+            "up-sets is a theorem, so this is an implementation bug",
+            result,
         )
-    return EXIT_OK
+    return result
 
 
 DEFAULT_CONFIG = {
@@ -608,8 +562,7 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def _cmd_pipeline_scaling(args, argv):
-    started = _now()
+def _cmd_pipeline_scaling(args):
     config = dict(DEFAULT_CONFIG)
     if args.config:
         config.update(_parse_config_file(args.config))
@@ -640,12 +593,11 @@ def _cmd_pipeline_scaling(args, argv):
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
     results = _mc_grid(grid, trials, seed, workers)
-    csv_path = out_dir / "results.csv"
-    _write_text(csv_path, _csv_text(MC_SCHEMA, {"seed": seed}, MC_COLUMNS, _estimate_rows(results)))
-    fit_path = out_dir / "fit.json"
-    _write_text(fit_path, _json_text(_fit_payload(results, False, "scaling fit")))
-    _write_manifest([csv_path, fit_path], argv, {"command": "pipeline-scaling", **config}, started)
-    return EXIT_OK
+    files = {
+        out_dir / "results.csv": _csv_text(MC_SCHEMA, {"seed": seed}, MC_COLUMNS, _estimate_rows(results)),
+        out_dir / "fit.json": _json_text(_fit_payload(results, False, "scaling fit")),
+    }
+    return files, config
 
 
 def _now() -> str:
@@ -752,20 +704,51 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and write what it returns, the only writer: a
+    payload goes to stdout as JSON; a (files, params) result writes each
+    text to its path (stdout for None) and, if any path is a file, a
+    manifest next to the first.  Exceptions become exit codes here."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    started = _now()
     try:
-        return args.fn(args, argv)
+        try:
+            result, violation = args.fn(args), None
+        except InvariantViolation as exc:
+            result, violation = exc.result, exc
+        files, params = ({None: _json_text(result)}, None) if isinstance(result, dict) else result
+        outputs = {}
+        for out, text in files.items():
+            if out is None:
+                sys.stdout.write(text)
+            else:
+                outputs[Path(out)] = text.encode()
+        if outputs:
+            manifest = {
+                "schema": "manifest-v1",
+                "software_version": __version__,
+                "argv": argv,
+                "params": {"command": args.command, **params},
+                "started": started,
+                "finished": _now(),
+                "outputs": {str(p): hashlib.sha256(data).hexdigest() for p, data in outputs.items()},
+            }
+            first = next(iter(outputs))
+            outputs[first.with_name(first.name + ".manifest.json")] = _json_text(manifest).encode()
+        for path, data in outputs.items():
+            with _writing(path):
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_bytes(data)
     except ConfigError as exc:
         _log(f"config error: {exc}")
         return EXIT_CONFIG
     except LowCountRefusal as exc:
         _log(f"refused: {exc}")
         return EXIT_LOWCOUNT
-    except InvariantViolation as exc:
-        _log(f"invariant violation: {exc}")
+    if violation:
+        _log(f"invariant violation: {violation}")
         return EXIT_INVARIANT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -16,8 +16,8 @@ for the pairs still alive, with one index draw per row for p and t
 together; an index j picks the j-th smallest value a side has not used,
 which its sorted column already tells, so no pair keeps a pool of unused
 values.  It stops at row n - 1, since Z(n, .) is 0.  Its index draws use
-the draw dtype (int16, or int32 from n = 2^15), which is part of the
-stream layout; state cells use a cell dtype that only needs to hold
+the draw dtype, perms.draw_dtype, which is part of the stream layout;
+state cells use a cell dtype, _cell_dtype, that only needs to hold
 [-n, n] (int8 below n = 128), which changes no result.  Box persistence
 draws its window's rows for every pair before its scan with
 perms.permutation_rows, so that its floors stay coupled, builds Z at the
@@ -44,7 +44,7 @@ from functools import partial
 import numpy as np
 
 from ._parallel import processes, run_blocks, task_size
-from .perms import block_streams, permutation_rows, prefix_sums
+from .perms import block_streams, draw_dtype, permutation_rows, prefix_sums
 
 _Z95 = 1.959963984540054  # normal 97.5% quantile for Wilson intervals
 _PAIR_BLOCK = 1 << 14  # pairs per comparability block; each block owns one stream
@@ -136,6 +136,12 @@ def _block_runs(streams: list, bounds: list[int], idx: np.ndarray) -> list[tuple
     return [(g, s, e) for g, s, e in zip(streams, cuts, cuts[1:]) if e > s]
 
 
+def _cell_dtype(n: int) -> type:
+    """The integer type of scan state cells, which only hold [-n, n]: int8
+    below n = 128, else perms.draw_dtype(n).  It changes no result."""
+    return np.int8 if n < 128 else draw_dtype(n)
+
+
 def _z_row(b: np.ndarray, vp: np.ndarray, vt: np.ndarray, z: np.ndarray | None) -> np.ndarray:
     """Row a of Z on the columns ``b`` (a column in the cell dtype) for the
     pairs whose row-a values, on b's scale, are vp and vt: Z(a - 1, .)
@@ -178,8 +184,7 @@ def _pair_block(lo: int, hi: int, seed: int, n: int) -> int:
     is the same for any grouping of blocks into tasks and any worker
     count.  ``lo`` must start a block.
     """
-    dtype = np.int16 if n < 2 ** 15 else np.int32
-    cell = np.int8 if n < 128 else dtype
+    dtype, cell = draw_dtype(n), _cell_dtype(n)
     streams, bounds = _scan_streams(seed, lo, hi, _PAIR_BLOCK)
 
     def row(a, idx, z):
@@ -230,7 +235,7 @@ def _box_block(lo: int, hi: int, seed: int, n: int, x: int, cols: range, floor_l
     grouping of blocks into tasks.  ``lo`` must start a block.
     """
     last = 5 * x // 4
-    cell = np.int8 if n < 128 else (np.int16 if n < 2 ** 15 else np.int32)
+    cell = _cell_dtype(n)
     b = np.arange(cols.start, cols.stop, dtype=cell)[:, None]
     batch = max(1, _PAIR_DRAW // max(last, len(cols)))
     succ = 0

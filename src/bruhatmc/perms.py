@@ -35,6 +35,13 @@ def trial_stream(seed: int, trial: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
 
 
+def draw_dtype(n: int) -> type:
+    """The integer type that index draws and values of permutations of [n]
+    are held in: int16 below n = 2^15, else int32.  Every stream layout
+    that draws indices in it depends on it."""
+    return np.int16 if n < 2 ** 15 else np.int32
+
+
 def block_streams(seed: int, lo: int, hi: int, block: int) -> list[tuple[np.random.Generator, int, int]]:
     """(trial_stream(seed, k), start, end) for each block k of ``block``
     trials that trials lo..hi-1 span; ``lo`` must start a block."""
@@ -141,7 +148,7 @@ def permutation_rows(n: int, rows: int, count: int, stream: np.random.Generator)
     freed place, so each pool's places a.. hold its unused values.  One
     sub-batch's pools are allocated per call and refilled in place for
     each sub-batch."""
-    dtype = np.int16 if n < 2 ** 15 else np.int32
+    dtype = draw_dtype(n)
     words = np.empty((rows, count), dtype)  # rows-major: each step writes one run
     batch = max(1, _ROW_DRAW // n)
     pools = np.empty((min(batch, count), n), dtype)

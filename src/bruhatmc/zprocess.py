@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from ._parallel import processes, run_blocks, task_size
-from .perms import MAX_TABLE_SIZE, Permutation, block_streams, permutation_rows, prefix_sums
+from .perms import MAX_TABLE_SIZE, Permutation, block_streams, draw_dtype, permutation_rows, prefix_sums
 
 _STAT_BLOCK = 256  # trials per merge block; each block owns one stream
 _STAT_CELLS = 1 << 16  # window-table cells per sub-batch
@@ -80,7 +80,7 @@ def z_table(p: Permutation, t: Permutation) -> ZTable:
     n = p.n
     if n > MAX_TABLE_SIZE:
         raise ValueError(f"n={n} exceeds the table materialization cap {MAX_TABLE_SIZE}")
-    z = np.zeros((n + 1, n + 1), dtype=np.int16 if n < 2 ** 15 else np.int32)
+    z = np.zeros((n + 1, n + 1), dtype=draw_dtype(n))
     rows = np.arange(1, n + 1)
     z[rows, np.fromiter(p.values, dtype=np.intp, count=n)] += 1
     z[rows, np.fromiter(t.values, dtype=np.intp, count=n)] -= 1

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import bruhatmc
 from bruhatmc.cli import (
     CHAINSTAT_SCHEMA,
     EXIT_CONFIG,
+    EXIT_INVARIANT,
     EXIT_LOWCOUNT,
     EXIT_OK,
     MC_COLUMNS,
@@ -19,7 +21,9 @@ from bruhatmc.cli import (
     rerun_manifest,
 )
 from bruhatmc.estimators import wilson_interval
+from bruhatmc.fkg import CorrelationReport
 from bruhatmc.order import EXACT_COUNT_CAP
+from bruhatmc.perms import MAX_TABLE_SIZE
 
 
 def run(capsys, *argv):
@@ -84,6 +88,14 @@ class TestZmin:
         payload = json.loads(out)
         assert payload["min"] < 0 and payload["leq"] is False
 
+    def test_above_table_cap_is_config_error(self, capsys):
+        # z_table's ValueError once ended this in a traceback and exit code 1
+        words = " ".join(map(str, range(1, MAX_TABLE_SIZE + 2)))
+        code, out, err = run(capsys, "zmin", "--pi", words, "--tau", words)
+        assert code == EXIT_CONFIG and out == ""
+        cap = MAX_TABLE_SIZE
+        assert err == f"config error: --pi and --tau: size {cap + 1} above the table cap {cap}\n"
+
 
 class TestHyper:
     def test_pmf(self, capsys):
@@ -106,6 +118,18 @@ class TestHyper:
     def test_requires_an_action(self, capsys):
         code, _, err = run(capsys, "hyper", "--N", "10", "--B", "4", "--A", "5")
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "actions",
+        [["--k", "2", "--moments"], ["--k", "2", "--sample", "5"], ["--moments", "--sample", "5"],
+         ["--k", "2", "--moments", "--sample", "5"]],
+        ids=lambda actions: " ".join(actions),
+    )
+    def test_more_than_one_action_is_config_error(self, capsys, actions):
+        # --k with --moments once exited 0 and dropped --moments
+        code, out, err = run(capsys, "hyper", "--N", "10", "--B", "4", "--A", "5", *actions)
+        assert code == EXIT_CONFIG and out == ""
+        assert err == "config error: hyper: pass exactly one of --k, --moments, --sample\n"
 
     def test_sample_too_large_for_memory_is_config_error(self, capsys):
         # 10^14 draws need far more memory than any address space holds
@@ -461,6 +485,20 @@ class TestFkg:
         assert code == EXIT_OK
         assert "violations: 0/25" in out
 
+    def test_violation_prints_table_then_one_line(self, capsys, monkeypatch):
+        def violated(a, b):
+            return CorrelationReport(Fraction(0), Fraction(1, 4), False)
+
+        monkeypatch.setattr("bruhatmc.cli.fkg_check", violated)
+        code, out, err = run(capsys, "fkg", "--n", "3", "--pairs", "5", "--seed", "11")
+        assert code == EXIT_INVARIANT
+        lines = out.splitlines()
+        assert lines[0] == "pair,p_a,p_b,p_both,product,holds" and len(lines) == 8
+        assert all(line.endswith(",0,1/4,False") for line in lines[1:6])
+        assert lines[6] == "# extremal pair 0: lhs-rhs = -1/4 (lhs=0 rhs=1/4)"
+        assert lines[7] == "# violations: 5/5"
+        assert err.count("\n") == 1 and err.startswith("invariant violation: 5 FKG violations at n=3: ")
+
     @pytest.mark.parametrize("pairs", ["0", "-4"])
     def test_nonpositive_pairs_is_config_error(self, capsys, pairs):
         code, out, err = run(capsys, "fkg", "--n", "3", "--pairs", pairs, "--seed", "11")
@@ -687,6 +725,65 @@ def test_output_digest_pinned(capsys, tmp_path, argv, digest, workers):
     assert code == EXIT_OK
     text = (tmp_path / "results.csv").read_text() if argv[0] == "pipeline-scaling" else out
     assert _data_digest(text) == digest
+
+
+@pytest.mark.parametrize(
+    "argv, params",
+    [
+        pytest.param(
+            ["mc", "--n", "4,6", "--trials", "3000", "--seed", "9", "--out", "{dir}/mc.csv"],
+            {"n": [4, 6], "trials": [3000, 3000], "seed": 9},
+            id="mc",
+        ),
+        pytest.param(
+            ["gauss", "--grid", "4,8", "--threshold", "0.5", "--trials", "2000", "--seed", "5", "--mode", "zeta",
+             "--out", "{dir}/gauss.csv"],
+            {"grid": [4, 8], "trials": [2000, 2000], "threshold": 0.5, "mode": "zeta", "p": "default-1/m^2",
+             "seed": 5},
+            id="gauss",
+        ),
+        pytest.param(
+            ["chainstat", "--n", "64", "--x", "8,16", "--y", "16,8", "--trials", "40", "--seed", "4",
+             "--stat", "strip", "--out", "{dir}/chain.csv"],
+            {"n": 64, "x": [8, 16], "y": [16, 8], "stat": "strip", "trials": 40, "seed": 4},
+            id="chainstat",
+        ),
+        pytest.param(
+            ["fit", "--input", "{dir}/in.csv", "--out", "{dir}/fit.json"], {"input": "{dir}/in.csv"}, id="fit",
+        ),
+        pytest.param(
+            ["pipeline-scaling", "--n-grid", "4,6,8", "--trials", "2000", "--seed", "3", "--out-dir", "{dir}/run"],
+            {"n_grid": "4,6,8", "trials": "2000", "seed": "3", "workers": "1", "out_dir": "{dir}/run",
+             "force": "false"},
+            id="pipeline-scaling",
+        ),
+    ],
+)
+def test_manifest_records_params_digests_and_reruns(capsys, tmp_path, argv, params):
+    # gauss once recorded only grid and seed; every run's params now start
+    # with its command
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    params = {k: v.format(dir=tmp_path) if isinstance(v, str) else v for k, v in params.items()}
+    if argv[0] == "fit":
+        mc = ["mc", "--n", "4,6,8", "--trials", "4000", "--seed", "2", "--out", str(tmp_path / "in.csv")]
+        assert main(mc) == EXIT_OK
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK and out == ""
+    if argv[0] == "pipeline-scaling":
+        outputs = [tmp_path / "run/results.csv", tmp_path / "run/fit.json"]
+    else:
+        outputs = [Path(argv[argv.index("--out") + 1])]
+    manifest_path = outputs[0].with_name(outputs[0].name + ".manifest.json")
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["argv"] == argv
+    assert manifest["params"] == {"command": argv[0], **params}
+    first = [path.read_bytes() for path in outputs]
+    digests = {str(path): hashlib.sha256(data).hexdigest() for path, data in zip(outputs, first)}
+    assert manifest["outputs"] == digests
+    for path in outputs:
+        path.unlink()
+    assert rerun_manifest(manifest_path) == EXIT_OK
+    assert [path.read_bytes() for path in outputs] == first
 
 
 def test_value_error_inside_a_command_propagates(monkeypatch):
