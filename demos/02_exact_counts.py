@@ -1,7 +1,9 @@
 """Exact comparability counts from the row-transfer dynamic program, next to
 a brute-force count of all pairs with the prefix-count scan where that is
 small enough, plus the exact corner-event probabilities behind the product
-lower bound.
+lower bound.  The program's state after row a is one letter per value
+(unused, used by p only, used by t only), with the values both have used
+dropped, so exact P reaches order.EXACT_COUNT_CAP = 12 in a few seconds.
 
 Run with: python demos/02_exact_counts.py
 """

@@ -82,8 +82,9 @@ def run_blocks(total: int, block_size: int, fn: Callable, workers: int = 1) -> l
     runs task i itself when i % procs == 0 and submits the others to the
     helpers of the active shared pool, whatever worker count opened it;
     outside one, shared_pool opens a pool for this call alone.  With one
-    process, or one task, no helper runs and every task runs in-process.  ``fn`` must be picklable (a module-level function or
-    functools.partial of one) when it runs on helpers.
+    process, or one task, no helper runs and every task runs in-process.
+    ``fn`` must be picklable (a module-level function or functools.partial
+    of one) when it runs on helpers.
     """
     ranges = block_ranges(total, block_size)
     with shared_pool(workers if len(ranges) > 1 else 1):

@@ -455,7 +455,8 @@ def _fit_payload(results: list[EstimateResult], include_low_count: bool, label: 
 
 def _cmd_fit(args):
     payload = _fit_payload(_read_mc_csv(args.input), args.include_low_count, "fit")
-    return {args.out: _json_text(payload)}, {"input": args.input}
+    flag = {"include_low_count": True} if args.include_low_count else {}
+    return {args.out: _json_text(payload)}, {"input": args.input, **flag}
 
 
 def _cmd_gauss(args):
@@ -604,8 +605,17 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with misuse reported like every other config error: one
+    line and exit code 2; its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        _log(f"config error: {message}")
+        raise SystemExit(EXIT_CONFIG)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bruhatmc",
         description="Bruhat-order comparability of random permutations: exact laws and Monte Carlo",
     )

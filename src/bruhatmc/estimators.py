@@ -142,14 +142,14 @@ def _cell_dtype(n: int) -> type:
     return np.int8 if n < 128 else draw_dtype(n)
 
 
-def _z_row(b: np.ndarray, vp: np.ndarray, vt: np.ndarray, z: np.ndarray | None) -> np.ndarray:
+def _z_row(b: np.ndarray, vp: np.ndarray, vt: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Row a of Z on the columns ``b`` (a column in the cell dtype) for the
-    pairs whose row-a values, on b's scale, are vp and vt: Z(a - 1, .)
-    (None for zeros, else updated in place) plus [b >= p(a)] - [b >= t(a)],
-    from bools read as bytes.  Cells-major: one column per pair."""
+    pairs whose row-a values, on b's scale, are vp and vt: Z(a - 1, .),
+    updated in place, plus [b >= p(a)] - [b >= t(a)], from bools read as
+    bytes.  Cells-major: one column per pair."""
     inc = np.greater_equal(b, vp).view(np.int8)
     inc -= (b >= vt).view(np.int8)
-    return inc.astype(b.dtype, copy=False) if z is None else np.add(z, inc, out=z)
+    return np.add(z, inc, out=z)
 
 
 def _pair_block(lo: int, hi: int, seed: int, n: int) -> int:

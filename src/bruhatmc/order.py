@@ -7,8 +7,9 @@ the running prefix difference, so a violated coordinate near the top-left
 (the typical case for an incomparable random pair) aborts after O(n) work.
 
 Exact counts come from one dynamic program over rows, _window_count: the
-state after row a is the pair of value sets p and t have used so far, which
-fixes Z(a, .).
+state after row a is a word of letters, one per value: 0 unused, +1 used by
+p only, -1 used by t only, so that Z(a, b) is the sum of the letters up to
+b.  A value both have used adds 0 from then on, and leaves the word.
 """
 from __future__ import annotations
 
@@ -22,8 +23,9 @@ from math import factorial
 from .perms import Permutation
 
 # row-transfer counts: the largest n whose full square and four corner
-# windows each take about 3 s or less
-EXACT_COUNT_CAP = 10
+# windows each take about 3 s or less (on two cores, best of three runs:
+# n = 12 takes 1.0 s and 0.5 s, n = 13 3.4 s and 1.9 s)
+EXACT_COUNT_CAP = 12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -158,38 +160,38 @@ def _window_count(n: int, rows: range, cols: range) -> int:
     """Number of pairs (p, t) in S_n x S_n with Z(a, b) >= 0 for every a in
     ``rows`` and b in ``cols``, counted row by row.
 
-    A state is the pair of value sets p and t have used, as bitmasks (bit
-    v - 1 for value v), mapped to its number of partial pairs.  Row a adds
-    p's value, then t's value v; on a checked row that keeps Z >= 0 exactly
-    when no column is negative and v exceeds every column where Z is 0.
+    A state holds one letter per value: 0 unused, +1 used by p only, -1 used
+    by t only; a value used by both adds 0 to every column from then on and
+    is dropped.  Its three parts are the letters of values 1..cols.start,
+    which count only by their multiset and are kept sorted (their sum is
+    Z(a, cols.start)), the letters of the rest of the window in value order,
+    and the sorted letters of the values above it.  One half-step serves
+    side s = +1 (p's value of row a), then s = -1 (t's): s takes a 0, which
+    becomes s, or a -s, which is dropped.  A checked row keeps a state iff
+    the sum of its first part plus every prefix sum of its second is >= 0.
+    ``states`` maps each state to its number of partial pairs.
     """
     if n < 1:
         raise ValueError(f"n={n}: exact counts need n >= 1")
     if n > EXACT_COUNT_CAP:
         raise ValueError(f"n={n} above the exact-count cap {EXACT_COUNT_CAP}")
-    masks = [(b, (1 << b) - 1) for b in cols]  # bits of the values <= b
     last = max(rows)
-    states = {(0, 0): 1}
+    states = {((0,) * cols.start, (0,) * (len(cols) - 1), (0,) * (n + 1 - cols.stop)): 1}
     for a in range(1, last + 1):
-        half = defaultdict(int)  # states once p's value of row a is in
-        for (used_p, used_t), count in states.items():
-            for u in range(n):
-                if not used_p >> u & 1:
-                    half[used_p | 1 << u, used_t] += count
-        checked = masks if a in rows else ()
-        states = defaultdict(int)
-        for (used_p, used_t), count in half.items():
-            low = 0  # lowest bit t's value may take: above every column where Z is 0
-            for b, m in checked:
-                z = (used_p & m).bit_count() - (used_t & m).bit_count()
-                if z < 0:
-                    low = n
-                    break
-                if z == 0:
-                    low = b
-            for v in range(low, n):
-                if not used_t >> v & 1:
-                    states[used_p, used_t | 1 << v] += count
+        for s in (1, -1):  # p's value of row a, then t's
+            after = defaultdict(int)
+            for parts, count in states.items():
+                for k, part in enumerate(parts):
+                    for i, x in enumerate(part):
+                        if x == 0 or x == -s:
+                            new = part[:i] + (s,) * (x == 0) + part[i + 1:]
+                            new = new if k == 1 else tuple(sorted(new))
+                            after[parts[:k] + (new,) + parts[k + 1:]] += count
+            states = after
+        if a in rows:  # Z(a, b) on cols: the first part's sum, then one letter of the second per b
+            states = {
+                w: count for w, count in states.items() if min(itertools.accumulate(w[1], initial=sum(w[0]))) >= 0
+            }
     # rows past the window are free: (n - last)! ways for each permutation
     return sum(states.values()) * factorial(n - last) ** 2
 

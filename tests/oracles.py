@@ -10,6 +10,8 @@ fisher_yates_words replays the batched row draw of bruhatmc.perms one
 permutation at a time, by list swaps in pure Python.
 """
 import functools
+from collections import defaultdict
+from math import factorial
 
 import numpy as np
 
@@ -46,6 +48,44 @@ def reachable(p: Permutation, t: Permutation) -> bool:
 def comparable_pairs(n: int) -> int:
     """Number of ordered pairs (p, t) in S_n x S_n with t reachable from p."""
     return sum(mask.bit_count() for mask in cover_closure(n).values())
+
+
+def bitmask_window_count(n: int, rows: range, cols: range) -> int:
+    """Number of pairs (p, t) in S_n x S_n with Z(a, b) >= 0 for every a in
+    ``rows`` and b in ``cols``, by a row-transfer count on both value sets.
+
+    A state is the pair of value sets p and t have used, as bitmasks (bit
+    v - 1 for value v), mapped to its number of partial pairs.  Row a adds
+    p's value, then t's value v; on a checked row that keeps Z >= 0 exactly
+    when no column is negative and v exceeds every column where Z is 0.
+    It has no size cap: n = 10 takes about 2 s for the four corner windows,
+    n = 12 about 10 s for the square.
+    """
+    masks = [(b, (1 << b) - 1) for b in cols]  # bits of the values <= b
+    last = max(rows)
+    states = {(0, 0): 1}
+    for a in range(1, last + 1):
+        half = defaultdict(int)  # states once p's value of row a is in
+        for (used_p, used_t), count in states.items():
+            for u in range(n):
+                if not used_p >> u & 1:
+                    half[used_p | 1 << u, used_t] += count
+        checked = masks if a in rows else ()
+        states = defaultdict(int)
+        for (used_p, used_t), count in half.items():
+            low = 0  # lowest bit t's value may take: above every column where Z is 0
+            for b, m in checked:
+                z = (used_p & m).bit_count() - (used_t & m).bit_count()
+                if z < 0:
+                    low = n
+                    break
+                if z == 0:
+                    low = b
+            for v in range(low, n):
+                if not used_t >> v & 1:
+                    states[used_p, used_t | 1 << v] += count
+    # rows past the window are free: (n - last)! ways for each permutation
+    return sum(states.values()) * factorial(n - last) ** 2
 
 
 

@@ -941,3 +941,40 @@ def test_cli_import_leaves_lazy_modules_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_fit_manifest_records_include_low_count(capsys, tmp_path):
+    # the flag changes fit.json, so the params must say it was set
+    mc = ["mc", "--n", "4,6,8,12,24", "--trials", "400", "--seed", "2", "--out", str(tmp_path / "in.csv")]
+    assert main(mc) == EXIT_OK
+    plain, flagged = tmp_path / "plain.json", tmp_path / "flagged.json"
+    assert main(["fit", "--input", str(tmp_path / "in.csv"), "--out", str(plain)]) == EXIT_OK
+    argv = ["fit", "--input", str(tmp_path / "in.csv"), "--out", str(flagged), "--include-low-count"]
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK and out == ""
+    first = flagged.read_bytes()
+    assert first != plain.read_bytes()
+    manifest_path = tmp_path / "flagged.json.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["params"] == {"command": "fit", "input": str(tmp_path / "in.csv"), "include_low_count": True}
+    flagged.unlink()
+    assert rerun_manifest(manifest_path) == EXIT_OK
+    assert flagged.read_bytes() == first
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mc", "--n", "4", "--trials", "10"], "the following arguments are required: --seed"),
+        (["mc", "--n", "4", "--trials", "10", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    ],
+    ids=["missing-flag", "bad-int", "unknown-subcommand"],
+)
+def test_argparse_misuse_is_one_line_config_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_CONFIG
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {message}") and captured.err.count("\n") == 1

@@ -17,6 +17,7 @@ from bruhatmc.order import (
 from bruhatmc.perms import Permutation, inversion_count, sample_uniform, symmetry_map, trial_stream
 from bruhatmc.zprocess import z_table
 from oracles import comparable_pairs, reachable
+from oracles import bitmask_window_count
 
 # frozen by the cover-closure oracle in tests/oracles.py (see
 # test_scan_and_closure_agree)
@@ -241,3 +242,36 @@ class TestExactCounts:
             exact_comparability_count(-2)
         with pytest.raises(ValueError, match=f"above the exact-count cap {EXACT_COUNT_CAP}"):
             exact_comparability_count(EXACT_COUNT_CAP + 1)
+
+
+class TestLumpedWindowCount:
+    """The lumped-word count against the bitmask row-transfer oracle."""
+
+    @staticmethod
+    def corners(n):
+        half = -(-n // 2)
+        head, tail = range(1, half + 1), range(max(n - half, 1), n + 1)
+        return [(head, head), (tail, head), (head, tail), (tail, tail)]
+
+    def test_every_window_matches_bitmask_oracle(self):
+        for n in range(1, 7):
+            for r0, r1, c0, c1 in itertools.product(range(1, n + 1), repeat=4):
+                if r0 <= r1 and c0 <= c1:
+                    rows, cols = range(r0, r1 + 1), range(c0, c1 + 1)
+                    assert _window_count(n, rows, cols) == bitmask_window_count(n, rows, cols)
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_square_matches_bitmask_oracle(self, n):
+        square = range(1, n + 1)
+        assert exact_comparability_count(n).comparable_pairs == bitmask_window_count(n, square, square)
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_corners_match_bitmask_oracle(self, n):
+        for rows, cols in self.corners(n):
+            assert _window_count(n, rows, cols) == bitmask_window_count(n, rows, cols)
+
+    def test_n11_n12_pinned(self):
+        # both from the bitmask DP (tests/oracles.py) run above its cap
+        assert EXACT_COUNT_CAP >= 12
+        assert exact_comparability_count(11).comparable_pairs == 76_797_806_584_091
+        assert exact_comparability_count(12).comparable_pairs == 8_755_950_728_110_301

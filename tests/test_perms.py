@@ -280,3 +280,10 @@ class TestSerialization:
     def test_parse_errors_name_the_token(self, text, message):
         with pytest.raises(ValueError, match=message):
             parse_permutation(text)
+
+
+def test_inversion_count_matches_quadratic_count_n3000():
+    # the hypothesis check stops at n = 8; this one spans many tree levels
+    p = sample_uniform(3001, trial_stream(29, 0))
+    w = np.array(p.values)
+    assert inversion_count(p) == int(np.triu(w[:, None] > w[None, :], k=1).sum())
