@@ -19,10 +19,12 @@ for n in range(1, 6):
     print(f"  n={n}: {dp:>6} | {scan:>6}  ({'agree' if dp == scan else 'DIFFER'})")
 
 print(f"\nexact P(p <= t) up to the cap n = {EXACT_COUNT_CAP}:")
-for n in range(1, EXACT_COUNT_CAP + 1):
-    count = exact_comparability_count(n)
+counts = [exact_comparability_count(n) for n in range(1, EXACT_COUNT_CAP + 1)]
+# the row at the cap has the widest numbers
+wide, total = len(str(counts[-1].comparable_pairs)), len(str(counts[-1].total_pairs))
+for count in counts:
     print(
-        f"  n={n:>2}: {count.comparable_pairs:>13} / {count.total_pairs:<15}"
+        f"  n={count.n:>2}: {count.comparable_pairs:>{wide}} / {count.total_pairs:<{total}}"
         f" P = {float(count.probability):.6f}"
     )
 

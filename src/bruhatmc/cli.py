@@ -29,7 +29,6 @@ import warnings
 from pathlib import Path
 
 from . import __version__
-from ._parallel import shared_pool
 from .dists import (
     HyperGeomParams,
     bernoulli_ratio,
@@ -306,16 +305,15 @@ def _cmd_chainstat(args):
     _check_seed("--seed", args.seed)
     _check_writable(args.out)
     rows = []
-    with shared_pool(args.workers):
-        for x, y in zip(xs, ys):
-            if args.stat == "rect":
-                summary = max_rect_stat(args.n, x, y, args.trials, args.seed, args.workers)
-                normalizer = math.sqrt(x * y / args.n) + math.log(args.n)
-            else:
-                summary = max_strip_stat(args.n, x, y, args.trials, args.seed, args.workers)
-                normalizer = math.sqrt(x * y / args.n) + 1.0
-            rows.append([args.n, x, y, summary.mean, summary.stderr, normalizer])
-            _log(f"chainstat {args.stat} n={args.n} x={x} y={y}: mean={summary.mean:.4f}")
+    for x, y in zip(xs, ys):
+        if args.stat == "rect":
+            summary = max_rect_stat(args.n, x, y, args.trials, args.seed, args.workers)
+            normalizer = math.sqrt(x * y / args.n) + math.log(args.n)
+        else:
+            summary = max_strip_stat(args.n, x, y, args.trials, args.seed, args.workers)
+            normalizer = math.sqrt(x * y / args.n) + 1.0
+        rows.append([args.n, x, y, summary.mean, summary.stderr, normalizer])
+        _log(f"chainstat {args.stat} n={args.n} x={x} y={y}: mean={summary.mean:.4f}")
     meta = {"stat": args.stat, "trials": args.trials, "seed": args.seed}
     text = _csv_text(CHAINSTAT_SCHEMA, meta, CHAINSTAT_COLUMNS, rows)
     return {args.out: text}, {"n": args.n, "x": xs, "y": ys, **meta}
@@ -382,26 +380,25 @@ def _refuse_naive_mc(n_max: int, force: bool, hint: str):
         )
 
 
-def _estimate_grid(command: str, key: str, sizes: list[int], trials: list[int], workers: int, estimate):
-    """Run estimate(size, trials) over the grid on one shared pool, logging
-    each point's progress and LOW-COUNT as ``{key}=size``."""
+def _estimate_grid(command: str, key: str, sizes: list[int], trials: list[int], estimate):
+    """Run estimate(size, trials) over the grid, logging each point's
+    progress and LOW-COUNT as ``{key}=size``."""
     results = []
-    with shared_pool(workers):
-        for size, t in zip(sizes, trials):
-            r = estimate(size, t)
-            if r.low_count:
-                _log(f"LOW-COUNT: {key}={size} produced only {r.successes} successes")
-            _log(
-                f"{command} {key}={size}: p_hat={r.p_hat:.4g} "
-                f"[{r.ci_low:.4g}, {r.ci_high:.4g}] ({r.wall_time:.1f}s)"
-            )
-            results.append(r)
+    for size, t in zip(sizes, trials):
+        r = estimate(size, t)
+        if r.low_count:
+            _log(f"LOW-COUNT: {key}={size} produced only {r.successes} successes")
+        _log(
+            f"{command} {key}={size}: p_hat={r.p_hat:.4g} "
+            f"[{r.ci_low:.4g}, {r.ci_high:.4g}] ({r.wall_time:.1f}s)"
+        )
+        results.append(r)
     return results
 
 
 def _mc_grid(ns: list[int], trials: list[int], seed: int, workers: int) -> list[EstimateResult]:
     return _estimate_grid(
-        "mc", "n", ns, trials, workers, lambda n, t: estimate_comparability(n, t, seed, workers=workers)
+        "mc", "n", ns, trials, lambda n, t: estimate_comparability(n, t, seed, workers=workers)
     )
 
 
@@ -471,7 +468,7 @@ def _cmd_gauss(args):
         _check_min("--grid with the default p = 1/m^2", 2, *grid)
     _check_writable(args.out)
     results = _estimate_grid(
-        "gauss", "m", grid, trials, args.workers,
+        "gauss", "m", grid, trials,
         lambda m, t: sheet_persistence(
             m, args.threshold, t, args.seed, mode=args.mode, p=args.p, workers=args.workers
         ),

@@ -927,13 +927,14 @@ class TestParser:
 LAZY_IMPORT_SCRIPT = """
 import sys
 import bruhatmc.cli
-print(sorted(m for m in ("mpmath", "concurrent.futures", "numpy.random") if m in sys.modules))
+print(sorted(m for m in ("mpmath", "concurrent.futures", "multiprocessing", "numpy.random") if m in sys.modules))
 """
 
 
 def test_cli_import_leaves_lazy_modules_unloaded():
-    # the code that needs mpmath, the process pool or numpy.random imports
-    # it, so start-up (check, --version) pays for none of them
+    # the code that needs mpmath, numpy.random or the helpers' pipes
+    # (multiprocessing) imports it, and no path needs concurrent.futures,
+    # so start-up (check, --version) pays for none of them
     src = str(Path(bruhatmc.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-c", LAZY_IMPORT_SCRIPT], capture_output=True, text=True, timeout=120,
