@@ -4,7 +4,7 @@ The estimated probabilities fall faster than any single polynomial; fitting
 -ln p_hat against (ln n)^2 + ln n + 1 quantifies that, and an information
 criterion compares the fit against the pure-polynomial submodel.
 
-Run with: python demos/03_monte_carlo_scaling.py   (about a minute)
+Run with: python demos/03_monte_carlo_scaling.py   (under a second on two cores)
 """
 from bruhatmc import estimate_comparability, fit_scaling
 

@@ -6,29 +6,26 @@ comparability probability follows in n; the fitted slope estimates the
 persistence exponent.  A dense +-1 increment sheet gives a matching
 exponent, a small universality check.
 
-Run with: python demos/05_sheet_persistence.py   (about a minute)
+Run with: python demos/05_sheet_persistence.py   (about a second on two cores)
 """
 import math
 
-from bruhatmc import li_shao_sum, psi_fit, sheet_grid, sheet_persistence, trial_stream
+from bruhatmc import li_shao_sum, psi_fit, sheet_grid, sheet_persistence_grid, trial_stream
 
 GRID = [(8, 20_000), (16, 50_000), (32, 100_000), (64, 800_000)]
 
 print("gaussian increments, threshold 1:")
-gauss = []
-for m, trials in GRID:
-    r = sheet_persistence(m, 1.0, trials, 51, workers=2)
-    gauss.append(r)
+ms, trials = zip(*GRID)
+gauss = sheet_persistence_grid(ms, 1.0, trials, 51, workers=2)
+for m, r in zip(ms, gauss):
     print(f"  m={m:<5} p_hat={r.p_hat:.4e}   -ln p={-math.log(r.p_hat):.2f}   (ln m)^2={math.log(m)**2:.2f}")
 
 fit = psi_fit(gauss)
 print(f"fitted exponent: psi_hat = {fit.psi_hat:.3f} +- {fit.stderr:.3f}")
 
 print("\ndense +-1 increments (p = 1/2), matched threshold:")
-zeta = []
-for m, trials in GRID:
-    r = sheet_persistence(m, 1.0, trials, 52, mode="zeta", p=0.5, workers=2)
-    zeta.append(r)
+zeta = sheet_persistence_grid(ms, 1.0, trials, 52, mode="zeta", p=0.5, workers=2)
+for m, r in zip(ms, zeta):
     print(f"  m={m:<5} p_hat={r.p_hat:.4e}")
 zfit = psi_fit(zeta)
 print(f"fitted exponent: psi_hat = {zfit.psi_hat:.3f} +- {zfit.stderr:.3f}")

@@ -72,6 +72,7 @@ from .estimators import (
     fit_scaling,
     sheet_grid,
     sheet_persistence,
+    sheet_persistence_grid,
     psi_fit,
     li_shao_sum,
 )

@@ -13,7 +13,8 @@ pipelines compose.
 
 main also maps the commands' exceptions to exit codes: 0 success,
 2 configuration error, 3 invariant violation (the run's output is still
-written first), 4 LOW-COUNT refusal.
+written first), 4 LOW-COUNT refusal, 130 interrupted (Ctrl-C: one line;
+an interrupt while the command runs writes no output file or manifest).
 """
 from __future__ import annotations
 
@@ -43,7 +44,8 @@ from .estimators import (
     fit_scaling,
     li_shao_sum,
     psi_fit,
-    sheet_persistence,
+    sheet_persistence,  # unused here, but bench/harness.py patches cli.sheet_persistence to trace it
+    sheet_persistence_grid,
 )
 from .fkg import UPSET_CAP, fkg_check, random_upset
 from .order import EXACT_COUNT_CAP, exact_comparability_count, is_leq_strong, is_leq_weak
@@ -54,6 +56,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 EXIT_LOWCOUNT = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
 
 MC_SCHEMA = "mc-v5"
 # schemas fit still reads: older rows are identical, only the stream layout differs
@@ -380,26 +383,22 @@ def _refuse_naive_mc(n_max: int, force: bool, hint: str):
         )
 
 
-def _estimate_grid(command: str, key: str, sizes: list[int], trials: list[int], estimate):
-    """Run estimate(size, trials) over the grid, logging each point's
-    progress and LOW-COUNT as ``{key}=size``."""
-    results = []
-    for size, t in zip(sizes, trials):
-        r = estimate(size, t)
-        if r.low_count:
-            _log(f"LOW-COUNT: {key}={size} produced only {r.successes} successes")
-        _log(
-            f"{command} {key}={size}: p_hat={r.p_hat:.4g} "
-            f"[{r.ci_low:.4g}, {r.ci_high:.4g}] ({r.wall_time:.1f}s)"
-        )
-        results.append(r)
-    return results
+def _log_estimate(command: str, key: str, r: EstimateResult) -> EstimateResult:
+    """Log one grid point's estimate, and LOW-COUNT, as ``{key}=size``."""
+    if r.low_count:
+        _log(f"LOW-COUNT: {key}={r.n} produced only {r.successes} successes")
+    _log(
+        f"{command} {key}={r.n}: p_hat={r.p_hat:.4g} "
+        f"[{r.ci_low:.4g}, {r.ci_high:.4g}] ({r.wall_time:.1f}s)"
+    )
+    return r
 
 
 def _mc_grid(ns: list[int], trials: list[int], seed: int, workers: int) -> list[EstimateResult]:
-    return _estimate_grid(
-        "mc", "n", ns, trials, lambda n, t: estimate_comparability(n, t, seed, workers=workers)
-    )
+    """The comparability estimates of the grid, each logged as it ends."""
+    return [
+        _log_estimate("mc", "n", estimate_comparability(n, t, seed, workers=workers)) for n, t in zip(ns, trials)
+    ]
 
 
 def _grid(args, text: str, flag: str) -> tuple[list[int], list[int]]:
@@ -467,12 +466,11 @@ def _cmd_gauss(args):
     if args.mode == "zeta" and args.p is None:
         _check_min("--grid with the default p = 1/m^2", 2, *grid)
     _check_writable(args.out)
-    results = _estimate_grid(
-        "gauss", "m", grid, trials,
-        lambda m, t: sheet_persistence(
-            m, args.threshold, t, args.seed, mode=args.mode, p=args.p, workers=args.workers
-        ),
+    results = sheet_persistence_grid(
+        grid, args.threshold, trials, args.seed, mode=args.mode, p=args.p, workers=args.workers
     )
+    for r in results:
+        _log_estimate("gauss", "m", r)
     meta = {"mode": args.mode, "threshold": args.threshold, "seed": args.seed}
     if args.mode == "zeta":
         meta["p"] = "default-1/m^2" if args.p is None else args.p
@@ -752,6 +750,9 @@ def main(argv: list[str] | None = None) -> int:
     except LowCountRefusal as exc:
         _log(f"refused: {exc}")
         return EXIT_LOWCOUNT
+    except KeyboardInterrupt:
+        _log("interrupted")
+        return EXIT_INTERRUPTED
     if violation:
         _log(f"invariant violation: {violation}")
         return EXIT_INVARIANT

@@ -4,7 +4,9 @@ Comparability, box persistence and sheet persistence each ask whether a
 prefix-sum field stays at or above a floor; all three run on one batched
 kernel, _survivors, a loop of steps that each update a small state for
 the trials still alive and drop a trial at the first step where a cell of
-its state falls below the floor.  The kernel holds its states cells-major:
+its state falls below the floor; it returns the survival curve, the
+number of trials alive after each step, whose last entry is the count of
+successes.  The kernel holds its states cells-major:
 cells on axis 0, trials on axis 1, so the floor check, the compaction and
 the prefix sums work on whole rows of trials.  For box persistence a step
 is one row of Z on the window's columns, added by one row update, _z_row;
@@ -31,6 +33,16 @@ and sheet scans carry a task's blocks at once, so that a scan's fixed cost
 per step is shared, while box persistence scans them one after another,
 in sub-batches that bound their memory.  Results are bit-identical no
 matter how many workers execute the blocks or how tasks group them.
+
+A grid of sheet estimates (sheet_persistence_grid, which `gauss` runs and
+sheet_persistence calls with one point) scans each block once for all the
+points that hold the same trials in it: a block's draw at square k does
+not depend on m, so its survival curve to the largest such m gives every
+smaller m its count.  Full block k holds the same trials for every point
+with at least k + 1 blocks of trials, a partial last block only for the
+points with exactly its trial count, and points share only under one law
+and floor (gaussian mode, or zeta mode at a given p, not the default
+p = 1/m^2).  No count changes.
 """
 from __future__ import annotations
 
@@ -98,9 +110,11 @@ class EstimateResult:
         return self.successes < LOW_COUNT_THRESHOLD
 
 
-def _survivors(step, steps: range, floor_level: float, count: int, z: np.ndarray | None = None) -> int:
-    """Number of a scan's ``count`` trials whose field stays at or above
-    ``floor_level`` on every step of ``steps``.
+def _survivors(step, steps: range, floor_level: float, count: int, z: np.ndarray | None = None) -> np.ndarray:
+    """Survival curve of a scan of ``count`` trials over ``steps``: entry 0
+    is ``count``, entry i the number of trials whose field stays at or above
+    ``floor_level`` on the first i steps, and the entries after extinction
+    are 0, so the last entry counts the trials that pass every step.
 
     ``z = step(a, idx, z)`` returns the state rows that step a checks for
     the trials ``idx`` still alive, cells-major: one row per state cell,
@@ -109,16 +123,19 @@ def _survivors(step, steps: range, floor_level: float, count: int, z: np.ndarray
     first step where one of its cells is below the floor; the scan drops
     the trials that fail and stops when none is left.
     """
+    curve = np.zeros(len(steps) + 1, np.int64)
+    curve[0] = count
     idx = np.arange(count)
-    for a in steps:
+    for i, a in enumerate(steps, 1):
         z = step(a, idx, z)
         keep = (z >= floor_level).all(axis=0)
         if not keep.all():
             live = np.flatnonzero(keep)
             idx, z = idx[live], z.take(live, axis=1)
             if idx.size == 0:
-                return 0
-    return idx.size
+                break
+        curve[i] = idx.size
+    return curve
 
 
 def _scan_streams(seed: int, lo: int, hi: int, block: int) -> tuple[list, list[int]]:
@@ -201,7 +218,7 @@ def _pair_block(lo: int, hi: int, seed: int, n: int) -> int:
         new[1] -= new[0]
         return state
 
-    return _survivors(row, range(1, n), 0, hi - lo, np.empty((0, hi - lo), cell))
+    return int(_survivors(row, range(1, n), 0, hi - lo, np.empty((0, hi - lo), cell))[-1])
 
 
 def _window_z(p: np.ndarray, t: np.ndarray, cols: range) -> np.ndarray:
@@ -244,10 +261,10 @@ def _box_block(lo: int, hi: int, seed: int, n: int, x: int, cols: range, floor_l
             count = min(batch, end - start)
             p, t = (permutation_rows(n, last, count, g).T for _ in range(2))  # (last, count) each
             z = _window_z(p[: x - 1], t[: x - 1], cols).astype(cell, order="C")
-            succ += _survivors(
+            succ += int(_survivors(
                 lambda a, idx, z: _z_row(b, p[a - 1].take(idx), t[a - 1].take(idx), z),
                 range(x, last + 1), floor_level, count, z,
-            )
+            )[-1])
     return succ
 
 
@@ -340,8 +357,11 @@ def _square_border(border: np.ndarray, k: int, z: np.ndarray | None) -> np.ndarr
     return border
 
 
-def _sheet_block(lo: int, hi: int, seed: int, m: int, floor_level: float, q: float | None) -> int:
-    """Successes among trials lo..hi-1, which may span several blocks.
+def _sheet_block(
+    lo: int, hi: int, seed: int, m: int, floor_level: float, q: float | None, offset: int = 0
+) -> np.ndarray:
+    """Survival curve, by square 0..m, of trials offset + lo .. offset + hi - 1,
+    which may span several blocks.
 
     The sheet is scanned as a growing square: step k extends the
     (k-1) x (k-1) square to k x k, so a trial dies at the first square whose
@@ -352,10 +372,11 @@ def _sheet_block(lo: int, hi: int, seed: int, m: int, floor_level: float, q: flo
     transposed into the block's columns of the cells-major border.  The
     draw is split into runs of whole trials; a stream yields the same
     values however a draw is split.  A block's draws depend only on its own
-    trials, so the count is the same for any grouping of blocks into scans
-    and any worker count.  ``lo`` must start a block.
+    trials, and step k's draw does not depend on m, so the curve's entry at
+    any m' <= m is the count a scan to m' gives, for any grouping of blocks
+    into scans and any worker count.  ``offset + lo`` must start a block.
     """
-    streams, bounds = _scan_streams(seed, lo, hi, _SHEET_BLOCK)
+    streams, bounds = _scan_streams(seed, offset + lo, offset + hi, _SHEET_BLOCK)
 
     def square(k, idx, z):
         border = np.empty((2 * k - 1, idx.size))
@@ -369,6 +390,82 @@ def _sheet_block(lo: int, hi: int, seed: int, m: int, floor_level: float, q: flo
         return _square_border(border, k, z)
 
     return _survivors(square, range(1, m + 1), floor_level, hi - lo)
+
+
+def _sheet_scans(trials: list[int]) -> list[tuple[int, int, list[int]]]:
+    """(lo, hi, users) for each scan that a grid of sheet estimates with
+    these trial counts, all of one law and floor, runs: trials lo..hi-1,
+    whose counts go to the points ``users`` (indices into ``trials``).
+
+    Full block k holds the same trials for every point with at least
+    (k + 1) blocks of trials; a point's partial last block holds the same
+    trials only for the points with exactly its trial count, since a larger
+    block's (alive, 2k - 1) draws interleave its trials differently.
+    Adjacent blocks with the same users are one scan, so a grid of one
+    point is one scan of all its trials.
+    """
+    pieces, lo = [], 0
+    for cut in sorted({t - t % _SHEET_BLOCK for t in trials} - {0}):
+        pieces.append((lo, cut, [i for i, t in enumerate(trials) if t >= cut]))
+        lo = cut
+    for total in {t for t in trials if t % _SHEET_BLOCK}:
+        pieces.append((total - total % _SHEET_BLOCK, total, [i for i, t in enumerate(trials) if t == total]))
+    scans = []
+    for lo, hi, users in sorted(pieces):
+        if scans and scans[-1][1:] == (lo, users):
+            scans[-1] = (scans[-1][0], hi, users)
+        else:
+            scans.append((lo, hi, users))
+    return scans
+
+
+def sheet_persistence_grid(
+    ms: list[int],
+    threshold: float,
+    trials: list[int],
+    seed: int,
+    mode: str = "gaussian",
+    p: float | None = None,
+    workers: int = 1,
+) -> list[EstimateResult]:
+    """The sheet persistence estimate (see sheet_persistence) of each (m, t)
+    of zip(ms, trials), from one scan per block that the grid's points
+    share; each count is the one a scan of that point alone gives.
+
+    Points of one law and floor (all of gaussian mode, and zeta mode at a
+    given p; the default p = 1/m^2 differs for each m) share the scan of
+    each block that holds the same trials for them (_sheet_scans).  A scan
+    runs to the largest m among the points it serves, and each point adds
+    the scan's survival curve at its own m to its count: a block's draws at
+    square k are the same whatever m the scan runs to, so no count changes.
+    A point's wall_time runs from the start of the grid to the end of the
+    last scan it needs.
+    """
+    ms, trials = list(ms), list(trials)
+    if len(ms) != len(trials):
+        raise ValueError(f"need one trial count per m, got {len(ms)} sizes and {len(trials)} counts")
+    for m, t in zip(ms, trials):
+        if m < 1 or t < 1:
+            raise ValueError(f"need m >= 1 and trials >= 1, got m={m} trials={t}")
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"need a finite threshold >= 0, got {threshold}")
+    laws: dict[tuple, list[int]] = {}  # (q, floor) -> the points of that law and floor
+    for i, m in enumerate(ms):
+        q = _sheet_q(m, mode, p)
+        laws.setdefault((q, -threshold if q is None else -threshold * math.sqrt(2.0 * q)), []).append(i)
+    start = time.perf_counter()
+    succ, wall = [0] * len(ms), [0.0] * len(ms)
+    procs = processes(workers)
+    for (q, floor_level), points in laws.items():
+        for lo, hi, users in _sheet_scans([trials[i] for i in points]):
+            users = [points[u] for u in users]
+            horizon = max(ms[i] for i in users)
+            fn = partial(_sheet_block, seed=seed, m=horizon, floor_level=floor_level, q=q, offset=lo)
+            curve = sum(run_blocks(hi - lo, task_size(_SHEET_BLOCK, hi - lo, procs), fn, workers))
+            for i in users:
+                succ[i] += int(curve[ms[i]])
+                wall[i] = time.perf_counter() - start
+    return [EstimateResult.from_counts(m, t, s, seed, w) for m, t, s, w in zip(ms, trials, succ, wall)]
 
 
 def sheet_persistence(
@@ -386,18 +483,10 @@ def sheet_persistence(
     uses increments valued +-1 with probability p(1-p) each (default
     p = 1/m^2, a sparse sheet); its threshold is matched by increment
     standard deviation sqrt(2 p (1-p)) so the two modes are compared on the
-    same scale.
+    same scale.  This is the one-point sheet_persistence_grid: one scan of
+    its trials, in tasks of up to four blocks.
     """
-    if m < 1 or trials < 1:
-        raise ValueError(f"need m >= 1 and trials >= 1, got m={m} trials={trials}")
-    if not (math.isfinite(threshold) and threshold >= 0):
-        raise ValueError(f"need a finite threshold >= 0, got {threshold}")
-    q = _sheet_q(m, mode, p)
-    floor_level = -threshold if q is None else -threshold * math.sqrt(2.0 * q)
-    start = time.perf_counter()
-    fn = partial(_sheet_block, seed=seed, m=m, floor_level=floor_level, q=q)
-    succ = sum(run_blocks(trials, task_size(_SHEET_BLOCK, trials, processes(workers)), fn, workers))
-    return EstimateResult.from_counts(m, trials, succ, seed, time.perf_counter() - start)
+    return sheet_persistence_grid([m], threshold, [trials], seed, mode, p, workers)[0]
 
 
 @dataclasses.dataclass(frozen=True)

@@ -55,6 +55,9 @@ class Permutation:
     values: tuple[int, ...]
 
     def __post_init__(self):
+        """Raise ValueError at the first value, in order, that is not an int
+        (bools are; numpy integers and floats are not), is out of 1..n, or
+        repeats an earlier one."""
         n = len(self.values)
         if n == 0:
             raise ValueError("permutation size must be at least 1")

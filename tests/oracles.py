@@ -8,6 +8,9 @@ permutation, so it stops at n = 7 (n = 8 would need about 200 MB).
 
 fisher_yates_words replays the batched row draw of bruhatmc.perms one
 permutation at a time, by list swaps in pure Python.
+
+permutation_error walks a one-line word value by value and names the
+error that Permutation must raise for it.
 """
 import functools
 from collections import defaultdict
@@ -115,3 +118,18 @@ def fisher_yates_words(n: int, rows: int, count: int, stream) -> list[list[int]]
                 word[a], word[i] = word[i], word[a]
             words.append(word)
     return words
+
+
+def permutation_error(values) -> str | None:
+    """The message Permutation(values) must raise for a non-empty word, from
+    its first value that is not an int, is out of 1..n or repeats an
+    earlier one; None for a permutation of [n]."""
+    n = len(values)
+    seen = [False] * (n + 1)
+    for v in values:
+        if not isinstance(v, int) or not 1 <= v <= n:
+            return f"value {v!r} out of range 1..{n}"
+        if seen[v]:
+            return f"duplicate value {v}"
+        seen[v] = True
+    return None

@@ -12,6 +12,7 @@ import bruhatmc
 from bruhatmc.cli import (
     CHAINSTAT_SCHEMA,
     EXIT_CONFIG,
+    EXIT_INTERRUPTED,
     EXIT_INVARIANT,
     EXIT_LOWCOUNT,
     EXIT_OK,
@@ -657,7 +658,7 @@ def test_unwritable_output_is_one_line_config_error(capsys, tmp_path, monkeypatc
     def unreachable(*args, **kwargs):
         raise AssertionError("an estimate ran before the output path was checked")
 
-    for estimator in ("estimate_comparability", "sheet_persistence", "max_rect_stat"):
+    for estimator in ("estimate_comparability", "sheet_persistence", "sheet_persistence_grid", "max_rect_stat"):
         monkeypatch.setattr(f"bruhatmc.cli.{estimator}", unreachable)
     paths = {"dir": tmp_path / "existing", "file": tmp_path / "existing.txt"}
     paths["dir"].mkdir()
@@ -679,6 +680,20 @@ def test_writable_output_check_leaves_no_file(capsys, tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="stop after the check"):
         main(["mc", "--n", "4", "--trials", "100", "--seed", "1", "--out", str(out)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, argv", [("_cmd_gauss", GAUSS_ARGV), ("_cmd_mc", MC_ARGV)])
+def test_interrupt_is_one_line_exit_130(capsys, tmp_path, monkeypatch, command, argv):
+    # a Ctrl-C once ended in a 40-50 line KeyboardInterrupt traceback and
+    # exit code -2; now it writes one line, no output file and no manifest
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(f"bruhatmc.cli.{command}", interrupted)
+    code, out, err = run(capsys, *argv, str(tmp_path / "out.csv"))
+    assert code == EXIT_INTERRUPTED == 130
+    assert out == "" and err == "interrupted\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def _data_digest(text: str) -> str:

@@ -1,7 +1,4 @@
-"""Smoke test: each quick demo script runs to completion.
-
-Demo 03 (the Monte Carlo scaling grid, about a minute) is left out.
-"""
+"""Smoke test: each demo script runs to completion."""
 import os
 import subprocess
 import sys
@@ -17,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         "01_bruhat_basics.py",
         "02_exact_counts.py",
+        "03_monte_carlo_scaling.py",
         "04_hypergeometric_laws.py",
         "05_sheet_persistence.py",
         "06_fkg_correlation.py",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -12,6 +13,8 @@ from bruhatmc.estimators import (
     EstimateResult,
     _box_block,
     _pair_block,
+    _sheet_block,
+    _sheet_scans,
     _square_border,
     _survivors,
     estimate_box_persistence,
@@ -21,9 +24,10 @@ from bruhatmc.estimators import (
     psi_fit,
     sheet_grid,
     sheet_persistence,
+    sheet_persistence_grid,
     wilson_interval,
 )
-from bruhatmc._parallel import task_size
+from bruhatmc._parallel import processes, run_blocks, task_size
 from bruhatmc.order import EXACT_COUNT_CAP, exact_comparability_count, is_leq_strong
 from bruhatmc.perms import Permutation, permutation_rows, trial_stream
 from bruhatmc.zprocess import z_table
@@ -154,6 +158,17 @@ def as_perm(values):
 
 
 class TestSurvivalKernel:
+    def test_survival_curve(self):
+        # trial i's one cell is death[i] - a at step a, so it dies at step death[i]
+        death = np.array([1, 3, 2, 5, 3])
+
+        def step(a, idx, z):
+            return (death[idx] - a)[None, :]
+
+        assert _survivors(step, range(1, 4), 1, 5).tolist() == [5, 4, 3, 1]
+        assert _survivors(step, range(1, 8), 1, 5).tolist() == [5, 4, 3, 1, 1, 0, 0, 0]
+        assert _survivors(step, range(1, 1), 1, 5).tolist() == [5]  # no step: every trial passes
+
     @pytest.mark.parametrize("n", [1, 2, 5, 12, 100, 127, 128, 200, 3, 4, 2**15])
     def test_comparability_matches_strong_order_oracle(self, n):
         # n = 3 spans two blocks, carried by one scan; state cells are int8
@@ -204,7 +219,7 @@ class TestSurvivalKernel:
         floors = sorted({float(f) for f in np.quantile(minima, [0.05, 0.3, 0.6, 0.95], method="lower")})
         for floor_level in floors + [-1.0]:
             expected = int((minima >= floor_level).sum())
-            assert _survivors(square, range(1, m + 1), floor_level, count) == expected, (m, floor_level)
+            assert _survivors(square, range(1, m + 1), floor_level, count)[-1] == expected, (m, floor_level)
 
     @pytest.mark.parametrize("k, count", [(3, 4000), (40, 50), (40, 700), (1, 10), (2, 5)])
     def test_square_border_sums_floats_in_row_order(self, k, count):
@@ -495,6 +510,76 @@ class TestSheet:
     def test_zeta_sparse_default_runs(self):
         r = sheet_persistence(16, 1.0, 2000, 5, mode="zeta")
         assert 0.0 <= r.p_hat <= 1.0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "kwargs", [{}, {"mode": "zeta", "p": 0.5}, {"mode": "zeta"}], ids=["gaussian", "zeta-half", "zeta-default"]
+    )
+    @pytest.mark.parametrize(
+        "ms, trials",
+        [
+            # m unsorted, trials off the 8192-trial blocks, m = 8 and m = 5 on
+            # the same trials, m = 3 with more trials than m = 12
+            pytest.param([8, 3, 12, 5], [20_000, 30_000, 9000, 20_000], id="mixed"),
+            pytest.param([32, 16, 2], [8192, 16_385, 100], id="one-block"),
+        ],
+    )
+    def test_grid_matches_one_point_estimates(self, ms, trials, kwargs, workers):
+        # points that share a block's scan read their counts off its curve,
+        # so each must count what its own one-point scan counts
+        grid = sheet_persistence_grid(ms, 1.0, trials, 17, workers=workers, **kwargs)
+        alone = [sheet_persistence(m, 1.0, t, 17, workers=workers, **kwargs) for m, t in zip(ms, trials)]
+        assert [dataclasses.replace(r, wall_time=0.0) for r in grid] == [
+            dataclasses.replace(r, wall_time=0.0) for r in alone
+        ]
+
+    def test_grid_scans_each_block_once_to_the_largest_m(self, monkeypatch):
+        # the benchmark's gauss grid: 16 blocks, each scanned once to m = 256
+        scanned = []
+
+        def recorded(lo, hi, seed, m, floor_level, q, offset=0):
+            scanned.append((offset + lo, offset + hi, m))
+            return _sheet_block(lo, hi, seed, m, floor_level, q, offset)
+
+        monkeypatch.setattr("bruhatmc.estimators._sheet_block", recorded)
+        results = sheet_persistence_grid([16, 64, 256], 1.0, [16384, 65536, 131072], 7)
+        assert [r.successes for r in results] == [299, 25, 1]
+        blocks = sorted(b for lo, hi, _ in scanned for b in range(lo // 8192, -(-hi // 8192)))
+        assert blocks == list(range(16))
+        assert {m for _, _, m in scanned} == {256}
+
+    def test_sheet_scans_join_adjacent_blocks_of_the_same_points(self):
+        # 30000's last full block and its partial block serve it alone, so
+        # they are one scan, though 20000's partial block starts between them
+        assert _sheet_scans([20_000, 30_000]) == [(0, 16384, [0, 1]), (16384, 20_000, [0]), (16384, 30_000, [1])]
+        assert _sheet_scans([30_000]) == [(0, 30_000, [0])]
+        assert _sheet_scans([100, 100, 8192]) == [(0, 100, [0, 1]), (0, 8192, [2])]
+
+    def test_grid_wall_time_ends_with_a_points_last_scan(self):
+        # m = 4's only block is the first scan, m = 6's last two the second
+        small, large = sheet_persistence_grid([4, 6], 1.0, [8192, 3 * 8192], 2)
+        assert 0 < small.wall_time < large.wall_time
+
+    def test_grid_needs_one_trial_count_per_m(self):
+        with pytest.raises(ValueError, match="one trial count per m"):
+            sheet_persistence_grid([4, 8], 1.0, [100], 0)
+        with pytest.raises(ValueError, match="m >= 1 and trials >= 1"):
+            sheet_persistence_grid([4, 8], 1.0, [100, 0], 0)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"mode": "zeta", "p": 0.5}], ids=["gaussian", "zeta-half"])
+    def test_sheet_survival_curve(self, kwargs):
+        # 3 x 8192 + 5 trials to m = 24: 1 task of 4 blocks at 1 worker, 2
+        # tasks of 2 at 2 workers
+        total, m = 3 * 8192 + 5, 24
+        q = None if not kwargs else 0.25
+        fn = partial(_sheet_block, seed=4, m=m, floor_level=-1.0 if not kwargs else -math.sqrt(0.5), q=q)
+        curves = [sum(run_blocks(total, task_size(8192, total, processes(w)), fn, w)) for w in (1, 2)]
+        assert np.array_equal(curves[0], curves[1])
+        curve = curves[0]
+        assert len(curve) == m + 1 and curve[0] == total
+        assert (np.diff(curve) <= 0).all() and curve[-1] > 0
+        for k in (1, 5, m):
+            assert curve[k] == sheet_persistence(k, 1.0, total, 4, **kwargs).successes
 
     def test_grid_total_is_standard_normal(self):
         # Kolmogorov-Smirnov distance of G(m,m)/m against the normal cdf

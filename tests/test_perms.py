@@ -1,4 +1,6 @@
+import enum
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -20,7 +22,7 @@ from bruhatmc.perms import (
     trial_stream,
 )
 
-from oracles import fisher_yates_words
+from oracles import fisher_yates_words, permutation_error
 
 perm_words = st.integers(1, 8).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
@@ -31,6 +33,21 @@ def random_perm(n, seed, trial=0):
     return sample_uniform(n, trial_stream(seed, trial))
 
 
+class Rank(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+def planted_word(n, plant):
+    """A shuffled word of [n] with plant's values put at its places; a value
+    ("copy", j) repeats the value at place j."""
+    word = list(range(1, n + 1))
+    random.Random(n).shuffle(word)
+    for place, value in plant.items():
+        word[place] = word[value[1]] if isinstance(value, tuple) else value
+    return tuple(word)
+
+
 class TestPermutation:
     def test_validates_bijection(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -39,6 +56,33 @@ class TestPermutation:
             Permutation((0, 1, 2))
         with pytest.raises(ValueError):
             Permutation(())
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (2, 3, 1), [2, 1], (True,), (True, 2), (Rank.TWO, Rank.ONE),
+            (1, True), (False, 1), (np.int64(1),), (1, np.int64(2)), (1.0, 2), (1, 2, 3.0), (1, 2, "3"),
+            (1, 1, 5), (1, 5, 1), (2, 2, 1, 1), (3, 1, 3, 2.5), (2, 2**70, 1), (-(2**70), 1), (2**63, 1),
+            np.array([2, 1]),
+            planted_word(1000, {}), planted_word(1000, {700: ("copy", 200)}),
+            planted_word(1000, {700: ("copy", 200), 900: 0}), planted_word(1000, {300: 1001, 700: ("copy", 200)}),
+            planted_word(1000, {300: np.int64(3), 700: ("copy", 200)}), planted_word(1000, {999: 2.0}),
+            planted_word(1000, {0: ("copy", 999)}), planted_word(1000, {500: 2**70}),
+            tuple(True if v == 1 else v for v in planted_word(1000, {})),
+            tuple(7.0 if v == 7 else v for v in planted_word(1000, {})),
+            tuple(np.int64(7) if v == 7 else v for v in planted_word(1000, {})),
+        ],
+    )
+    def test_validation_matches_value_by_value_check(self, values):
+        # Python ints and bools pass, numpy integers and floats do not, and
+        # the first offending value in order names the error
+        expected = permutation_error(values)
+        if expected is None:
+            assert Permutation(values).n == len(values)
+        else:
+            with pytest.raises(ValueError) as caught:
+                Permutation(values)
+            assert str(caught.value) == expected
 
     def test_call_is_one_indexed(self):
         p = Permutation((2, 3, 1))
