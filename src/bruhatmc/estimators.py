@@ -23,10 +23,12 @@ state cells use a cell dtype, _cell_dtype, that only needs to hold
 [-n, n] (int8 below n = 128), which changes no result.  Box persistence
 draws its window's rows for every pair before its scan with
 perms.permutation_rows, so that its floors stay coupled, builds Z at the
-row before the window in one count, and scans the window's rows.  Sheet
-borders are drawn only for the trials still alive.  Each fixed-size block
-of trials (16384 pairs for comparability, 4096 for box persistence, 8192
-sheets) draws from one counter-based stream keyed by (seed, block index).
+row before the window from two window counts, one per side
+(zprocess._window_counts, which chainstat shares), and scans the window's
+rows.  Sheet borders are drawn only for the trials still alive.  Each
+fixed-size block of trials (16384 pairs for comparability, 4096 for box
+persistence, 8192 sheets) draws from one counter-based stream keyed by
+(seed, block index).
 Every estimator hands _parallel.run_blocks tasks of up to four blocks,
 sized by _parallel.task_size for the processes the run uses; comparability
 and sheet scans carry a task's blocks at once, so that a scan's fixed cost
@@ -57,6 +59,7 @@ import numpy as np
 
 from ._parallel import processes, run_blocks, task_size
 from .perms import block_streams, draw_dtype, permutation_rows, prefix_sums
+from .zprocess import _window_counts
 
 _Z95 = 1.959963984540054  # normal 97.5% quantile for Wilson intervals
 _PAIR_BLOCK = 1 << 14  # pairs per comparability block; each block owns one stream
@@ -221,22 +224,6 @@ def _pair_block(lo: int, hi: int, seed: int, n: int) -> int:
     return int(_survivors(row, range(1, n), 0, hi - lo, np.empty((0, hi - lo), cell))[-1])
 
 
-def _window_z(p: np.ndarray, t: np.ndarray, cols: range) -> np.ndarray:
-    """Z(a, b) for b in ``cols``, cells-major, from the values p(1..a) and
-    t(1..a) of each pair, an (a, pairs) array per side:
-    #{i <= a : p(i) <= b} - #{i <= a : t(i) <= b}, from one count per side
-    in each pair's own bins, one per column (values below the window count
-    in the first) and one for the values above it."""
-    count, width = p.shape[1], len(cols) + 1
-    offsets = np.arange(count) * width - cols.start
-    bins, t_bins = (
-        np.bincount((np.clip(v, cols.start, cols.stop) + offsets).ravel(), minlength=count * width)
-        for v in (p, t)
-    )
-    bins -= t_bins
-    return np.cumsum(bins.reshape(count, width), axis=1, out=bins.reshape(count, width))[:, :-1].T
-
-
 def _box_block(lo: int, hi: int, seed: int, n: int, x: int, cols: range, floor_level: int) -> int:
     """Pairs among lo..hi-1, which may span several blocks, whose Z stays
     >= floor_level on rows x..5x/4 and columns ``cols``.
@@ -246,8 +233,9 @@ def _box_block(lo: int, hi: int, seed: int, n: int, x: int, cols: range, floor_l
     rows and its Z stay under a fixed number of cells for any n: rows
     1..5x/4 of every pair's p, then of every t, by permutation_rows, before
     the scan, so that every floor sees the same pairs.  Z(x - 1, .) on
-    ``cols`` comes from one count of the values of rows 1..x - 1, and each
-    step adds one row's stored values for the pairs still alive (_z_row).
+    ``cols`` is the difference of the two sides' counts of rows 1..x - 1
+    (zprocess._window_counts), and each step adds one row's stored values
+    for the pairs still alive (_z_row).
     Blocks are scanned one after another, so the count is the same for any
     grouping of blocks into tasks.  ``lo`` must start a block.
     """
@@ -260,7 +248,7 @@ def _box_block(lo: int, hi: int, seed: int, n: int, x: int, cols: range, floor_l
         for start in range(block, end, batch):
             count = min(batch, end - start)
             p, t = (permutation_rows(n, last, count, g).T for _ in range(2))  # (last, count) each
-            z = _window_z(p[: x - 1], t[: x - 1], cols).astype(cell, order="C")
+            z = (_window_counts(p[: x - 1], cols) - _window_counts(t[: x - 1], cols)).astype(cell)
             succ += int(_survivors(
                 lambda a, idx, z: _z_row(b, p[a - 1].take(idx), t[a - 1].take(idx), z),
                 range(x, last + 1), floor_level, count, z,
@@ -580,8 +568,8 @@ def fit_scaling(results: list[EstimateResult], include_low_count: bool = False) 
             excluded.append(r.n)
         else:
             usable.append(r)
-    if len({r.n for r in usable}) < 4:
-        raise ValueError(f"need >= 4 distinct usable sizes, have {len(usable)}")
+    if (sizes := len({r.n for r in usable})) < 4:
+        raise ValueError(f"need >= 4 distinct usable sizes, have {sizes}")
     logn = np.array([math.log(r.n) for r in usable])
     y = np.array([-math.log(r.p_hat) for r in usable])
     weights = 1.0 / np.array([_log_variance(r) for r in usable])

@@ -20,6 +20,7 @@ from .perms import Permutation, sample_uniform
 
 UPSET_CAP = 6
 PRODUCT_EVENT_CAP = 4
+_UPSET_SEEDS = 3  # most seed permutations random_upset closes upward
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,10 +69,10 @@ def upward_closure(n: int, seeds: list[Permutation]) -> UpSet:
     return UpSet(n, mask)
 
 
-def random_upset(n: int, stream: np.random.Generator, max_seeds: int = 3) -> UpSet:
-    """Up-set generated by a random antichain seed: a few uniform
-    permutations, closed upward."""
-    k = int(stream.integers(0, max_seeds + 1))
+def random_upset(n: int, stream: np.random.Generator) -> UpSet:
+    """Up-set generated by a random seed: k uniform permutations, k
+    uniform on 0.._UPSET_SEEDS, closed upward."""
+    k = int(stream.integers(0, _UPSET_SEEDS + 1))
     return upward_closure(n, [sample_uniform(n, stream) for _ in range(k)])
 
 

@@ -7,6 +7,10 @@ which makes comparability a two-dimensional persistence event.
 
 Centered rectangle counts subtract the exact expectation area/n; those terms
 are kept as rationals so identity checks stay exact.
+
+The window maxima (max_rect_stat, max_strip_stat) and box persistence in
+estimators share one count of a window's drawn rows, _window_counts; the
+maxima then add each later row by one row step and keep a running max.
 """
 from __future__ import annotations
 
@@ -21,7 +25,6 @@ from ._parallel import processes, run_blocks, task_size
 from .perms import MAX_TABLE_SIZE, Permutation, block_streams, draw_dtype, permutation_rows, prefix_sums
 
 _STAT_BLOCK = 256  # trials per merge block; each block owns one stream
-_STAT_CELLS = 1 << 16  # window-table cells per sub-batch
 
 
 @dataclasses.dataclass(frozen=True)
@@ -132,29 +135,39 @@ def decompose_check(p: Permutation, t: Permutation, x: int, y: int, a: int, b: i
     return whole == parts
 
 
+def _window_counts(v: np.ndarray, cols: range) -> np.ndarray:
+    """#{i <= R : v(i) <= b} for b in ``cols``, cells-major (one row per
+    column b, one column per trial), from the values v(1..R) of each trial,
+    an (R, trials) array.  One bincount of the values inside the window, at
+    (value, trial), and one count per trial of the values below it, so its
+    index arrays hold only the values inside the window."""
+    count, width = v.shape[1], len(cols)
+    inside = np.flatnonzero((v >= cols.start) & (v < cols.stop))  # positions in v, row-major
+    cells = (v.ravel()[inside] - cols.start).astype(np.intp) * count + inside % count
+    counts = np.bincount(cells, minlength=width * count).reshape(width, count)
+    counts[0] += (v < cols.start).sum(axis=0)
+    return np.cumsum(counts, axis=0, out=counts)
+
+
 def _window_stats(words: np.ndarray, n: int, first: int, y0: int, y1: int) -> np.ndarray:
     """Per trial (row of ``words``, the values of a window's rows 1..R), the
-    max over a in [first, R], b in [0, y1 - y0] of
-    |#{i <= a : words[t, i - 1] in (y0, y0 + b]} - ab/n|.
+    max over a in [first, R], b in [y0, y1] of |C(a, b) - C(a, y0) - a(b - y0)/n|,
+    C(a, b) = #{i <= a : words[t, i - 1] <= b}.
 
-    Sub-batches of at most _STAT_CELLS table cells scatter their points with
-    one bincount, rows before ``first`` folded into the table's first row;
-    prefix_sums turns points into counts.
-    """
-    count, r = words.shape
-    rows, cols = r - first + 1, y1 - y0 + 1
-    cells = rows * cols
-    offset = np.maximum(np.arange(1, r + 1) - first, 0) * cols  # table row of each word row
-    expect = np.arange(first, r + 1)[:, None] * np.arange(cols) / n
-    batch = max(1, _STAT_CELLS // cells)
-    stats = []
-    for s in range(0, count, batch):
-        w = words[s : s + batch]
-        t, i = np.nonzero((w > y0) & (w <= y1))
-        table = np.bincount(t * cells + offset[i] + (w[t, i] - y0), minlength=len(w) * cells)
-        table = prefix_sums(table.reshape(len(w), rows, cols))
-        stats.append(np.abs(table - expect).max(axis=(1, 2)))
-    return np.concatenate(stats)
+    C(first, .) comes from one count (_window_counts); each later row a
+    adds [b >= words[t, a - 1]], and the max runs over the rows."""
+    v = words.T
+    c = _window_counts(v[:first], range(y0, y1 + 1))
+    b = np.arange(y0, y1 + 1, dtype=v.dtype)[:, None]
+    span = np.arange(y1 - y0 + 1)[:, None]
+    stat = np.zeros(v.shape[1])
+    for a in range(first, v.shape[0] + 1):
+        if a > first:
+            c += b >= v[a - 1]
+        dev = np.subtract(c, c[0], dtype=np.float64)
+        dev -= a * span / n
+        np.maximum(stat, np.abs(dev, out=dev).max(axis=0), out=stat)
+    return stat
 
 
 def _window_stat_block(

@@ -231,6 +231,19 @@ class TestFit:
         assert json.loads(out)["status"] == "UNDERDETERMINED"
         assert "UNDERDETERMINED" in err
 
+    def test_repeated_sizes_count_once(self, capsys, tmp_path):
+        for grid, status, points in [("4,6,8", "UNDERDETERMINED", None), ("4,6,8,12", "OK", 8)]:
+            src = self._make_results(capsys, tmp_path, grid)
+            lines = src.read_text().splitlines()
+            src.write_text("\n".join(lines + lines[2:]) + "\n")  # every row twice
+            code, out, _ = run(capsys, "fit", "--input", str(src))
+            payload = json.loads(out)
+            assert code == EXIT_OK and payload["status"] == status
+            if points is None:
+                assert payload["reason"] == "need >= 4 distinct usable sizes, have 3"
+            else:
+                assert payload["n_points"] == points
+
     def test_schema_mismatch_is_hard_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("# schema=mc-v999\nn,trials\n")

@@ -28,7 +28,7 @@ from bruhatmc.estimators import (
     wilson_interval,
 )
 from bruhatmc._parallel import processes, run_blocks, task_size
-from bruhatmc.order import EXACT_COUNT_CAP, exact_comparability_count, is_leq_strong
+from bruhatmc.order import EXACT_COUNT_CAP, _leq_scan, exact_comparability_count
 from bruhatmc.perms import Permutation, permutation_rows, trial_stream
 from bruhatmc.zprocess import z_table
 from fractions import Fraction
@@ -174,15 +174,17 @@ class TestSurvivalKernel:
         # n = 3 spans two blocks, carried by one scan; state cells are int8
         # up to n = 127 and int16 from n = 128, and n = 2^15 draws in int32
         count, seed = {3: 20_000, 2**15: 300}.get(n, 3000), 123
+        # is_leq_strong's scan, on the replayed words, which are permutations
+        # by construction, without a Permutation per word
         pairs = drawn_pairs(n, count, seed)
         for p, t, rows, alive in pairs:
-            verdict = is_leq_strong(as_perm(p), as_perm(t))
-            assert verdict.leq == alive
+            witness = _leq_scan(p, t, n)
+            assert (witness is None) == alive
             if not alive:
                 # the pair died on its last drawn row, whatever comes after it
-                assert verdict.witness[0] == rows
+                assert witness[0] == rows
                 tail = slice(rows, None)
-                assert not is_leq_strong(as_perm(p[:rows] + p[tail][::-1]), as_perm(t[:rows] + t[tail][::-1])).leq
+                assert _leq_scan(p[:rows] + p[tail][::-1], t[:rows] + t[tail][::-1], n) is not None
         assert _pair_block(0, count, seed, n) == sum(alive for *_, alive in pairs)
 
     def test_box_window_matches_z_table_oracle(self):
@@ -440,6 +442,11 @@ class TestScalingFit:
     def test_needs_four_points(self):
         results = [synth(n, 0.3) for n in (4, 8, 16)]
         with pytest.raises(ValueError, match=">= 4"):
+            fit_scaling(results)
+
+    def test_counts_distinct_sizes_not_points(self):
+        results = [synth(n, 0.3) for n in (4, 4, 6, 6, 8)]
+        with pytest.raises(ValueError, match="need >= 4 distinct usable sizes, have 3$"):
             fit_scaling(results)
 
 

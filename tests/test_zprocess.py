@@ -10,6 +10,7 @@ from bruhatmc.order import all_perms, is_leq_strong
 from bruhatmc.perms import Permutation, dominance_table, sample_uniform, trial_stream
 from bruhatmc.zprocess import (
     Rectangle,
+    _window_counts,
     _window_stats,
     decompose_check,
     max_rect_stat,
@@ -87,7 +88,7 @@ STAT_CASES = [  # (n, x, y, trials, seed)
     (40, 1, 12, 300, 33),
     (40, 40, 12, 300, 34),  # the strip over every row
     (40, 36, 34, 300, 35),  # 5x/4 and 5y/4 clipped at n
-    (1024, 512, 512, 8, 36),  # a 129 x 129 window: three sub-batches of the block
+    (1024, 512, 512, 8, 36),  # a 129 x 129 window: 128 row steps (rect), one 512-row count (strip)
 ]
 STATS = {"rect": max_rect_stat, "strip": max_strip_stat}
 
@@ -226,6 +227,13 @@ class TestDecompose:
 
 
 class TestMaxStats:
+    @pytest.mark.parametrize("rows, cols", [(0, range(3, 7)), (9, range(1, 2)), (9, range(4, 9)), (9, range(12, 13))])
+    def test_window_counts_by_direct_count(self, rows, cols):
+        # values below, inside and above the window, cells-major
+        v = trial_stream(51).integers(1, 13, size=(rows, 7), dtype=np.int16)
+        expected = [[int((v[:, t] <= b).sum()) for t in range(7)] for b in cols]
+        assert _window_counts(v, cols).tolist() == expected
+
     def test_rect_single_cell_window(self):
         summary = max_rect_stat(16, 1, 1, 50, 3)
         assert summary.mean <= 1.0
