@@ -23,7 +23,10 @@ from bruhatmc import (
 )
 
 # The number of ones of a random permutation matrix inside any box depends
-# only on the side lengths and follows a hypergeometric law exactly.
+# only on the side lengths and follows a hypergeometric law exactly.  The
+# check draws the box's 20 rows one by one, each value by its rank among
+# the values not used yet, and keeps only how many unused values lie at or
+# below the box's two column edges: it never draws the law it checks.
 report = box_count_law_check(100, Rectangle(10, 30, 40, 70), 50_000, trial_stream(1))
 print(f"box 20x30 in a 100x100 permutation matrix: law {report.params}")
 print(f"  TV(empirical, exact pmf) = {report.tv_distance:.4f} on 50k samples")

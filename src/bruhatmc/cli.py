@@ -11,10 +11,16 @@ reproduces the data files byte for byte (manifests themselves carry
 timestamps and are not compared).  Progress and warnings go to stderr, so
 pipelines compose.
 
+main writes every file under a temporary name in the file's own directory
+and renames them into place only once all are written, so a write that
+fails or is interrupted leaves no data file without its manifest and no
+temporary file.
+
 main also maps the commands' exceptions to exit codes: 0 success,
 2 configuration error, 3 invariant violation (the run's output is still
 written first), 4 LOW-COUNT refusal, 130 interrupted (Ctrl-C: one line;
-an interrupt while the command runs writes no output file or manifest).
+an interrupt while the command runs or writes leaves no new output file
+or manifest).
 """
 from __future__ import annotations
 
@@ -25,6 +31,7 @@ import datetime
 import hashlib
 import json
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -49,7 +56,7 @@ from .estimators import (
 )
 from .fkg import UPSET_CAP, fkg_check, random_upset
 from .order import EXACT_COUNT_CAP, exact_comparability_count, is_leq_strong, is_leq_weak
-from .perms import MAX_TABLE_SIZE, Permutation, parse_permutation, trial_stream
+from .perms import MAX_TABLE_SIZE, MAX_WINDOW_N, Permutation, parse_permutation, trial_stream
 from .zprocess import max_rect_stat, max_strip_stat, z_table
 
 EXIT_OK = 0
@@ -62,7 +69,7 @@ MC_SCHEMA = "mc-v5"
 # schemas fit still reads: older rows are identical, only the stream layout differs
 MC_READABLE = (MC_SCHEMA, "mc-v4", "mc-v3", "mc-v2", "mc-v1")
 GAUSS_SCHEMA = "gauss-v3"
-CHAINSTAT_SCHEMA = "chainstat-v3"
+CHAINSTAT_SCHEMA = "chainstat-v4"
 NAIVE_MC_MAX_N = 64
 
 MC_COLUMNS = ["n", "trials", "successes", "p_hat", "ci_low", "ci_high", "seed"]
@@ -300,6 +307,8 @@ def _cmd_chainstat(args):
     if len(xs) != len(ys):
         raise ConfigError(f"--x and --y must pair up, got {len(xs)} vs {len(ys)}")
     _check_min("--n", 1, args.n)
+    if args.n > MAX_WINDOW_N:
+        raise ConfigError(f"--n must be <= {MAX_WINDOW_N}, the largest n the window draws take, got {args.n}")
     _check_min("--x and --y", 1, *xs, *ys)
     if max(xs + ys) > args.n:
         raise ConfigError(f"--x and --y must be <= --n {args.n}, got {max(xs + ys)}")
@@ -596,6 +605,26 @@ def _cmd_pipeline_scaling(args):
     return files, config
 
 
+def _write_all(outputs: dict[Path, bytes]):
+    """Write each file under a temporary name in its own directory, then
+    rename them into place once all are written; whatever ends the writes
+    early, no file is renamed and every temporary is removed."""
+    staged = []
+    try:
+        for path, data in outputs.items():
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            with _writing(path):
+                path.parent.mkdir(parents=True, exist_ok=True)
+                staged.append(tmp)
+                tmp.write_bytes(data)
+        for tmp, path in zip(staged, outputs):
+            with _writing(path):
+                os.replace(tmp, path)
+    finally:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
+
+
 def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
@@ -740,10 +769,7 @@ def main(argv: list[str] | None = None) -> int:
             }
             first = next(iter(outputs))
             outputs[first.with_name(first.name + ".manifest.json")] = _json_text(manifest).encode()
-        for path, data in outputs.items():
-            with _writing(path):
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_bytes(data)
+        _write_all(outputs)
     except ConfigError as exc:
         _log(f"config error: {exc}")
         return EXIT_CONFIG

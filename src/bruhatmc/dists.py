@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .perms import permutation_rows
+from .perms import draw_dtype, rank_indices, rank_step
 from .zprocess import Rectangle
 
 _MP_DPS = 60
@@ -177,12 +177,17 @@ def box_count_law_check(n: int, rect: Rectangle, trials: int, stream: np.random.
     """Sample box counts of uniform permutations and compare the histogram to
     HyperGeom(n, b2-b1, a2-a1): total-variation distance and the chi-square
     statistic over the support.  Rows (a1, a2] have the law of rows
-    1..a2-a1, so a trial draws only a2 - a1 rows (permutation_rows)."""
+    1..a2-a1, so a trial draws a2 - a1 rows one by one, each by rank over
+    the whole of [n] (perms.rank_step), and keeps only its unused counts
+    U(a, b) = b - C(a, b) at b1 and b2; the hypergeometric law it checks is
+    never drawn."""
     if rect.a2 > n or rect.b2 > n:
         raise ValueError(f"rectangle {rect} out of bounds for n={n}")
     params = HyperGeomParams(n, rect.b2 - rect.b1, rect.a2 - rect.a1)
-    vals = permutation_rows(n, rect.a2 - rect.a1, trials, stream)
-    counts = ((vals > rect.b1) & (vals <= rect.b2)).sum(axis=1)
+    u = np.repeat(np.array([[rect.b1], [rect.b2]], draw_dtype(n)), trials, axis=1)
+    for a in range(1, rect.a2 - rect.a1 + 1):
+        rank_step(u, rank_indices(n, a, (trials,), stream))
+    counts = rect.b2 - rect.b1 - u[1] + u[0]
     hist = {int(k): int(c) for k, c in zip(*np.unique(counts, return_counts=True))}
     tv = 0.0
     chi2 = 0.0

@@ -9,8 +9,9 @@ number of trials alive after each step, whose last entry is the count of
 successes.  The kernel holds its states cells-major:
 cells on axis 0, trials on axis 1, so the floor check, the compaction and
 the prefix sums work on whole rows of trials.  For box persistence a step
-is one row of Z on the window's columns, added by one row update, _z_row;
-for a sheet it is the border that grows the k-1 x k-1 square to k x k.
+is one rank row of each side's unused counts on the window's columns
+(perms.rank_step), which moves Z = U_t - U_p there; for a sheet it is the
+border that grows the k-1 x k-1 square to k x k.
 Comparability checks each row by the tableau criterion on sorted
 prefixes: its state after row a is 2a cells, one sorted column of
 p(1..a) and one of t(1..a), where a row of Z has n.  It draws a row only
@@ -21,11 +22,11 @@ values.  It stops at row n - 1, since Z(n, .) is 0.  Its index draws use
 the draw dtype, perms.draw_dtype, which is part of the stream layout;
 state cells use a cell dtype, _cell_dtype, that only needs to hold
 [-n, n] (int8 below n = 128), which changes no result.  Box persistence
-draws its window's rows for every pair before its scan with
-perms.permutation_rows, so that its floors stay coupled, builds Z at the
-row before the window from two window counts, one per side
-(zprocess._window_counts, which chainstat shares), and scans the window's
-rows.  Sheet borders are drawn only for the trials still alive.  Each
+draws the unused counts of both sides at the row before its window in one
+exact draw (perms.unused_counts, which chainstat shares), then draws each
+window row's indices for every pair of a block, so that its floors stay
+coupled, and steps the pairs still alive.  Sheet borders are drawn only
+for the trials still alive.  Each
 fixed-size block of trials (16384 pairs for comparability, 4096 for box
 persistence, 8192 sheets) draws from one counter-based stream keyed by
 (seed, block index).
@@ -33,7 +34,7 @@ Every estimator hands _parallel.run_blocks tasks of up to four blocks,
 sized by _parallel.task_size for the processes the run uses; comparability
 and sheet scans carry a task's blocks at once, so that a scan's fixed cost
 per step is shared, while box persistence scans them one after another,
-in sub-batches that bound their memory.  Results are bit-identical no
+each in O(window columns) cells per pair.  Results are bit-identical no
 matter how many workers execute the blocks or how tasks group them.
 
 A grid of sheet estimates (sheet_persistence_grid, which `gauss` runs and
@@ -58,14 +59,12 @@ from functools import partial
 import numpy as np
 
 from ._parallel import processes, run_blocks, task_size
-from .perms import block_streams, draw_dtype, permutation_rows, prefix_sums
-from .zprocess import _window_counts
+from .perms import block_streams, draw_dtype, prefix_sums, rank_indices, rank_step, unused_counts
 
 _Z95 = 1.959963984540054  # normal 97.5% quantile for Wilson intervals
 _PAIR_BLOCK = 1 << 14  # pairs per comparability block; each block owns one stream
 _MC_BLOCK = 4096  # pairs per box-persistence block; each block owns one stream
 _SHEET_BLOCK = 8192  # trials per sheet block; each block owns one stream
-_PAIR_DRAW = 1 << 18  # caps a box-persistence sub-batch at this // max(window rows, columns) pairs
 LOW_COUNT_THRESHOLD = 20
 
 
@@ -162,16 +161,6 @@ def _cell_dtype(n: int) -> type:
     return np.int8 if n < 128 else draw_dtype(n)
 
 
-def _z_row(b: np.ndarray, vp: np.ndarray, vt: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Row a of Z on the columns ``b`` (a column in the cell dtype) for the
-    pairs whose row-a values, on b's scale, are vp and vt: Z(a - 1, .),
-    updated in place, plus [b >= p(a)] - [b >= t(a)], from bools read as
-    bytes.  Cells-major: one column per pair."""
-    inc = np.greater_equal(b, vp).view(np.int8)
-    inc -= (b >= vt).view(np.int8)
-    return np.add(z, inc, out=z)
-
-
 def _pair_block(lo: int, hi: int, seed: int, n: int) -> int:
     """Comparable pairs (p <= t) among pairs lo..hi-1, which may span several
     blocks of _PAIR_BLOCK pairs, all carried by one scan.
@@ -226,33 +215,32 @@ def _pair_block(lo: int, hi: int, seed: int, n: int) -> int:
 
 def _box_block(lo: int, hi: int, seed: int, n: int, x: int, cols: range, floor_level: int) -> int:
     """Pairs among lo..hi-1, which may span several blocks, whose Z stays
-    >= floor_level on rows x..5x/4 and columns ``cols``.
+    >= floor_level (<= 0) on rows x..5x/4 and columns ``cols``.
 
-    Each block draws from its own trial_stream(seed, block) in sub-batches
-    of at most _PAIR_DRAW // max(5x/4, len(cols)) pairs, so a sub-batch's
-    rows and its Z stay under a fixed number of cells for any n: rows
-    1..5x/4 of every pair's p, then of every t, by permutation_rows, before
-    the scan, so that every floor sees the same pairs.  Z(x - 1, .) on
-    ``cols`` is the difference of the two sides' counts of rows 1..x - 1
-    (zprocess._window_counts), and each step adds one row's stored values
-    for the pairs still alive (_z_row).
-    Blocks are scanned one after another, so the count is the same for any
-    grouping of blocks into tasks.  ``lo`` must start a block.
+    Each side of a pair is held as its unused counts on ``cols``,
+    U(a, b) = b - C(a, b), so Z = U_t - U_p.  Each block, from its own
+    trial_stream(seed, block), draws U(x - 1, .) of every p, then of every
+    t, in one perms.unused_counts call of shape (2, pairs); then for each
+    row a the scan draws rank_indices(n, a, (2, pairs)) for every pair of
+    the block, p's indices in row 0, so that every floor sees the same
+    pairs, and steps the pairs still alive by perms.rank_step.  A pair's
+    state holds, for each column, U_p then Z; U_p >= 0 never fails the
+    floor.  Blocks are scanned one after another, so the count is the same
+    for any grouping of blocks into tasks.  ``lo`` must start a block.
     """
-    last = 5 * x // 4
-    cell = _cell_dtype(n)
-    b = np.arange(cols.start, cols.stop, dtype=cell)[:, None]
-    batch = max(1, _PAIR_DRAW // max(last, len(cols)))
     succ = 0
-    for g, block, end in block_streams(seed, lo, hi, _MC_BLOCK):
-        for start in range(block, end, batch):
-            count = min(batch, end - start)
-            p, t = (permutation_rows(n, last, count, g).T for _ in range(2))  # (last, count) each
-            z = (_window_counts(p[: x - 1], cols) - _window_counts(t[: x - 1], cols)).astype(cell)
-            succ += int(_survivors(
-                lambda a, idx, z: _z_row(b, p[a - 1].take(idx), t[a - 1].take(idx), z),
-                range(x, last + 1), floor_level, count, z,
-            )[-1])
+    for g, s, e in block_streams(seed, lo, hi, _MC_BLOCK):
+        u = unused_counts(n, x - 1, cols, (2, e - s), g)
+        u[:, 1] -= u[:, 0]  # each column's cells: U_p, then Z = U_t - U_p
+
+        def row(a, idx, z):
+            j = rank_indices(n, a, (2, e - s), g).take(idx, axis=1)
+            up, zz = z.reshape(-1, 2, idx.size).transpose(1, 0, 2)
+            ut = rank_step(zz + up, j[1])
+            np.subtract(ut, rank_step(up, j[0]), out=zz)
+            return z
+
+        succ += int(_survivors(row, range(x, 5 * x // 4 + 1), floor_level, e - s, u.reshape(-1, e - s))[-1])
     return succ
 
 

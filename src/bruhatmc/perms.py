@@ -4,10 +4,16 @@ Permutations are 1-indexed: ``p(i)`` is the value in row ``i`` of the
 corresponding permutation matrix, i.e. the matrix has a one at ``(i, p(i))``.
 The matrix itself is never stored; everything is derived from the one-line
 word.  Prefix counts of the matrix live in :class:`DominanceTable`.  The
-package keys each block of trials' stream with :func:`block_streams`, builds
-every prefix table with :func:`prefix_sums` and draws the first rows of
-many permutations at once with :func:`permutation_rows`, a row-by-row
-Fisher-Yates shuffle.
+package keys each block of trials' stream with :func:`block_streams` and
+builds every prefix table with :func:`prefix_sums`.
+
+Every sampler that draws a permutation's rows one at a time draws them by
+rank: row a's index j (:func:`rank_indices`; comparability's scan makes
+the same draw inline) takes the (j + 1)-th smallest value not used yet.
+A window's state per side is U(a, b) = b - C(a, b),
+the count of unused values <= b, on the columns it reads; one row is
+:func:`rank_step`, and rows that no window checks come from one exact draw
+of U (:func:`unused_counts`), so no sampler keeps a pool of n values.
 """
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 MAX_TABLE_SIZE = 1 << 14  # largest n whose full (n+1) x (n+1) table is materialized
-_ROW_DRAW = 1 << 20  # pool entries per sub-batch of permutation_rows (bounds its memory for any n)
+MAX_WINDOW_N = 10 ** 9 - 1  # largest n unused_counts draws for: numpy's hypergeometric takes populations below 10^9
 
 
 def trial_stream(seed: int, trial: int = 0) -> np.random.Generator:
@@ -141,31 +147,40 @@ def dominance_table(p: Permutation) -> DominanceTable:
     return DominanceTable(n, prefix_sums(counts))
 
 
-def permutation_rows(n: int, rows: int, count: int, stream: np.random.Generator) -> np.ndarray:
-    """Rows 1..``rows`` of ``count`` uniform permutations of [n], a
-    (count, rows) array in int16 below n = 2^15, else int32.  Sub-batches of
-    max(1, _ROW_DRAW // n) permutations each draw all their indices in one
-    call of shape (rows, size), row a's uniform on 0..n - a, and apply them
-    row by row to pools that start as 1..n: row a takes the value at place
-    a - 1 + j of each pool and moves the value at place a - 1 into the
-    freed place, so each pool's places a.. hold its unused values.  One
-    sub-batch's pools are allocated per call and refilled in place for
-    each sub-batch."""
+def rank_indices(n: int, a: int, shape, stream: np.random.Generator) -> np.ndarray:
+    """Row a's indices for permutations of [n], uniform on 0..n - a, one
+    call of ``shape`` in the draw dtype.  Index j takes the (j + 1)-th
+    smallest value the permutation has not used yet."""
+    return stream.integers(0, n - a + 1, size=shape, dtype=draw_dtype(n))
+
+
+def rank_step(u: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """One row by rank, in place on a side's unused counts: u holds
+    U(a - 1, b) = b - C(a - 1, b), the number of values <= b not used by
+    rows 1..a - 1, on any columns b.  The value that index j takes is <= b
+    exactly when U(a - 1, b) > j, so U(a, b) = U(a - 1, b) - [U(a - 1, b) > j]."""
+    u -= u > j
+    return u
+
+
+def unused_counts(n: int, rows: int, cols: range, shape, stream: np.random.Generator) -> np.ndarray:
+    """U(rows, b) = b - C(rows, b) for b in ``cols``, one exact draw for
+    each of ``shape`` uniform permutations of [n], cells-major: an array of
+    shape (len(cols), *shape) in the draw dtype.
+
+    C(rows, cols.start) is one hypergeometric draw.  Given C(rows, b), the
+    rows' other values are a uniform subset of the n - b values above b, so
+    b + 1 is one of them with probability (rows - C(rows, b)) / (n - b):
+    each later column takes one integer draw k uniform on 0..n - b - 1 and
+    adds [k < rows - C(rows, b)].  Nothing is drawn when rows is 0.
+    """
     dtype = draw_dtype(n)
-    words = np.empty((rows, count), dtype)  # rows-major: each step writes one run
-    batch = max(1, _ROW_DRAW // n)
-    pools = np.empty((min(batch, count), n), dtype)
-    for s in range(0, count, batch):
-        size = min(batch, count - s)
-        j = stream.integers(0, n - np.arange(rows)[:, None], size=(rows, size), dtype=dtype)
-        pools[:size] = np.arange(1, n + 1, dtype=dtype)
-        flat = pools.reshape(-1)
-        for a in range(rows):
-            heads = np.arange(a, size * n, n)
-            at = heads + j[a]
-            words[a, s : s + size] = flat[at]
-            flat[at] = flat[heads]
-    return words.T
+    c = np.zeros((len(cols), *shape), dtype)
+    if rows:
+        c[0] = stream.hypergeometric(cols.start, n - cols.start, rows, size=shape)
+        for i, b in enumerate(cols[:-1]):
+            np.add(c[i], stream.integers(0, n - b, size=shape, dtype=dtype) < rows - c[i], out=c[i + 1])
+    return np.subtract(np.arange(cols.start, cols.stop, dtype=dtype).reshape(-1, *[1] * len(shape)), c, out=c)
 
 
 def inversion_count(p: Permutation) -> int:

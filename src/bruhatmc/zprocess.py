@@ -9,8 +9,10 @@ Centered rectangle counts subtract the exact expectation area/n; those terms
 are kept as rationals so identity checks stay exact.
 
 The window maxima (max_rect_stat, max_strip_stat) and box persistence in
-estimators share one count of a window's drawn rows, _window_counts; the
-maxima then add each later row by one row step and keep a running max.
+estimators share one row source, the rank rows of perms: the strip reads
+one exact draw of the unused counts at row x (perms.unused_counts), the
+rectangle steps rank rows from no row drawn (perms.rank_step) and keeps a
+running max.
 """
 from __future__ import annotations
 
@@ -22,7 +24,9 @@ from functools import partial
 import numpy as np
 
 from ._parallel import processes, run_blocks, task_size
-from .perms import MAX_TABLE_SIZE, Permutation, block_streams, draw_dtype, permutation_rows, prefix_sums
+from .perms import (
+    MAX_TABLE_SIZE, Permutation, block_streams, draw_dtype, prefix_sums, rank_indices, rank_step, unused_counts,
+)
 
 _STAT_BLOCK = 256  # trials per merge block; each block owns one stream
 
@@ -135,36 +139,22 @@ def decompose_check(p: Permutation, t: Permutation, x: int, y: int, a: int, b: i
     return whole == parts
 
 
-def _window_counts(v: np.ndarray, cols: range) -> np.ndarray:
-    """#{i <= R : v(i) <= b} for b in ``cols``, cells-major (one row per
-    column b, one column per trial), from the values v(1..R) of each trial,
-    an (R, trials) array.  One bincount of the values inside the window, at
-    (value, trial), and one count per trial of the values below it, so its
-    index arrays hold only the values inside the window."""
-    count, width = v.shape[1], len(cols)
-    inside = np.flatnonzero((v >= cols.start) & (v < cols.stop))  # positions in v, row-major
-    cells = (v.ravel()[inside] - cols.start).astype(np.intp) * count + inside % count
-    counts = np.bincount(cells, minlength=width * count).reshape(width, count)
-    counts[0] += (v < cols.start).sum(axis=0)
-    return np.cumsum(counts, axis=0, out=counts)
+def _window_stats(g: np.random.Generator, n: int, rows: int, first: int, count: int, y0: int, y1: int) -> np.ndarray:
+    """For each of ``count`` uniform permutations of [n] drawn from ``g``,
+    the max over a in [first, rows], b in [y0, y1] of
+    |C(a, b) - C(a, y0) - a(b - y0)/n|, C(a, b) = #{i <= a : p(i) <= b}.
 
-
-def _window_stats(words: np.ndarray, n: int, first: int, y0: int, y1: int) -> np.ndarray:
-    """Per trial (row of ``words``, the values of a window's rows 1..R), the
-    max over a in [first, R], b in [y0, y1] of |C(a, b) - C(a, y0) - a(b - y0)/n|,
-    C(a, b) = #{i <= a : words[t, i - 1] <= b}.
-
-    C(first, .) comes from one count (_window_counts); each later row a
-    adds [b >= words[t, a - 1]], and the max runs over the rows."""
-    v = words.T
-    c = _window_counts(v[:first], range(y0, y1 + 1))
-    b = np.arange(y0, y1 + 1, dtype=v.dtype)[:, None]
+    U(first, .) = b - C(first, .) on the columns is one exact draw
+    (perms.unused_counts); each later row a is one rank row for all the
+    permutations, rank_step on rank_indices(n, a, (count,)), and the max
+    runs over the rows."""
     span = np.arange(y1 - y0 + 1)[:, None]
-    stat = np.zeros(v.shape[1])
-    for a in range(first, v.shape[0] + 1):
+    u = unused_counts(n, first, range(y0, y1 + 1), (count,), g)
+    stat = np.zeros(count)
+    for a in range(first, rows + 1):
         if a > first:
-            c += b >= v[a - 1]
-        dev = np.subtract(c, c[0], dtype=np.float64)
+            rank_step(u, rank_indices(n, a, (count,), g))
+        dev = np.subtract(span, u - u[0], dtype=np.float64)  # C(a, b) - C(a, y0)
         dev -= a * span / n
         np.maximum(stat, np.abs(dev, out=dev).max(axis=0), out=stat)
     return stat
@@ -174,18 +164,18 @@ def _window_stat_block(
     lo: int, hi: int, seed: int, n: int, rows: int, first: int, y0: int, y1: int
 ) -> list[tuple[int, float, float]]:
     """For each block of trials lo..hi-1, which may span several blocks,
-    (count, sum, sum of squares) of _window_stats on ``rows`` rows drawn by
-    permutation_rows from the block's trial_stream(seed, block) (CSV schema
-    chainstat-v3).  ``lo`` must start a block."""
-    stats = (_window_stats(permutation_rows(n, rows, e - s, g), n, first, y0, y1)
-             for g, s, e in block_streams(seed, lo, hi, _STAT_BLOCK))
+    (count, sum, sum of squares) of _window_stats on the block's
+    trial_stream(seed, block) (CSV schema chainstat-v4).  ``lo`` must start
+    a block."""
+    stats = (_window_stats(g, n, rows, first, e - s, y0, y1) for g, s, e in block_streams(seed, lo, hi, _STAT_BLOCK))
     return [(stat.size, float(stat.sum()), float(stat @ stat)) for stat in stats]
 
 
 def _window_max(
     n: int, x: int, y: int, trials: int, seed: int, workers: int, rows: int, first: int
 ) -> TrialSummary:
-    """Mean of _window_stats on ``rows`` drawn rows and the columns (y, 5y/4]."""
+    """Mean of _window_stats to row ``rows`` from row ``first`` on the
+    columns [y, 5y/4]."""
     if not (1 <= x <= n and 1 <= y <= n):
         raise ValueError(f"need 1 <= x, y <= n, got x={x} y={y} n={n}")
     if trials < 1:
@@ -205,12 +195,15 @@ def max_rect_stat(n: int, x: int, y: int, trials: int, seed: int, workers: int =
     window a in [x, 5x/4], b in [y, 5y/4], one fresh permutation per trial.
 
     Rows (x, 5x/4] of a uniform permutation have the law of its rows 1..R,
-    R = 5x/4 - x, so a trial draws only R rows and builds no full table.
+    R = 5x/4 - x, so a trial draws R rank rows from U(0, b) = b, O(y)
+    cells, and builds no full table.
     """
     return _window_max(n, x, y, trials, seed, workers, min(5 * x // 4, n) - x, 0)
 
 
 def max_strip_stat(n: int, x: int, y: int, trials: int, seed: int, workers: int = 1) -> TrialSummary:
     """Monte Carlo mean of max |centered count of (0,x] x (y,b]| over
-    b in [y, 5y/4]; the one-dimensional strip analogue of max_rect_stat."""
+    b in [y, 5y/4]; the one-dimensional strip analogue of max_rect_stat.
+    It reads only C(x, .) on the window, one unused_counts draw, and draws
+    no row."""
     return _window_max(n, x, y, trials, seed, workers, x, x)

@@ -6,15 +6,15 @@ definition directly and shares nothing with the prefix criterion or the
 row-transfer count it checks.  It holds one bitmask of (n!) bits per
 permutation, so it stops at n = 7 (n = 8 would need about 200 MB).
 
-fisher_yates_words replays the batched row draw of bruhatmc.perms one
-permutation at a time, by list swaps in pure Python.
+rank_words replays the rank rows of bruhatmc.perms one permutation at a
+time, by pops from an explicit list of unused values in pure Python.
 
 permutation_error walks a one-line word value by value and names the
 error that Permutation must raise for it.
 """
 import functools
 from collections import defaultdict
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
@@ -92,32 +92,40 @@ def bitmask_window_count(n: int, rows: range, cols: range) -> int:
 
 
 
-ROW_DRAW = 1 << 20  # pool entries per sub-batch of the batched row draw
+def rank_words(n: int, first: int, last: int, cols: range | None, shape: tuple, stream) -> list[list[int]]:
+    """Full permutations of 1..n, one per trial of ``shape`` in C order,
+    whose rows 1..last replay the draws that perms' row source makes from
+    ``stream``, in plain Python.
 
-
-def fisher_yates_words(n: int, rows: int, count: int, stream) -> list[list[int]]:
-    """``count`` full permutations of 1..n whose first ``rows`` values are
-    the rows that perms.permutation_rows draws from ``stream``.
-
-    Sub-batches of max(1, ROW_DRAW // n) permutations each take one
-    (rows, size) index draw, row a's index uniform on 0..n - a, in int16
-    below n = 2^15, else int32.  Permutation c of a sub-batch starts from
-    the list 1..n and swaps entry a - 1 with entry a - 1 + j[a - 1, c]
-    for a = 1..rows, so the rest of the list holds the values not drawn.
+    Rows 1..first replay perms.unused_counts on ``cols`` (nothing is drawn
+    when first is 0): a hypergeometric draw of how many of them lie at or
+    below cols.start, then for each column b but the last an index k
+    uniform on 0..n - b - 1, and b + 1 is used when k is below the number
+    of values still to place.  They take the smallest values that agree
+    with those counts, in increasing order.  Each row a after them draws
+    one index j per trial, uniform on 0..n - a, and pops place j of an
+    explicit sorted list of the values not used yet; the values left follow
+    in increasing order.  Indices are drawn in int16 below n = 2^15, else
+    in int32.
     """
     dtype = np.int16 if n < 2 ** 15 else np.int32
-    batch = max(1, ROW_DRAW // n)
-    words = []
-    for s in range(0, count, batch):
-        size = min(batch, count - s)
-        j = stream.integers(0, n - np.arange(rows)[:, None], size=(rows, size), dtype=dtype).tolist()
-        for c in range(size):
-            word = list(range(1, n + 1))
-            for a in range(rows):
-                i = a + j[a][c]
-                word[a], word[i] = word[i], word[a]
-            words.append(word)
-    return words
+    size = prod(shape)
+    used = [[] for _ in range(size)]
+    if first:
+        below = stream.hypergeometric(cols.start, n - cols.start, first, size=shape).ravel().tolist()
+        used = [list(range(1, c + 1)) for c in below]
+        for b in cols[:-1]:
+            ks = stream.integers(0, n - b, size=shape, dtype=dtype).ravel().tolist()
+            for word, k in zip(used, ks):
+                if k < first - len(word):
+                    word.append(b + 1)
+        used = [word + list(range(cols[-1] + 1, cols[-1] + 1 + first - len(word))) for word in used]
+    unused = [sorted(set(range(1, n + 1)).difference(word)) for word in used]
+    for a in range(first + 1, last + 1):
+        js = stream.integers(0, n - a + 1, size=shape, dtype=dtype).ravel().tolist()
+        for word, rest, j in zip(used, unused, js):
+            word.append(rest.pop(j))
+    return [word + rest for word, rest in zip(used, unused)]
 
 
 def permutation_error(values) -> str | None:

@@ -5,13 +5,14 @@ in-repo oracle (exhaustive enumeration, closed form) or a Monte Carlo figure
 whose tolerance is stated in the criterion.  Heavy criteria use two worker
 processes; worker count never changes any result (see criterion 13).
 
-Criterion 12's m=1024 point is expected to FAIL: the measured persistence
-probability at that size is ~2.6e-8 (3 successes in 1.15e8 trials), so the
-required 100 successes would need roughly 4e9 trials, hours beyond the
-criterion's 30-minute budget and below the library's documented rare-event
-floor of p ~ 1e-7.  The test runs an in-budget attempt, checks the decay
-form on the points that do resolve, and reports the m=1024 shortfall
-honestly rather than loosening the check.
+Criterion 12's m=1024 point is expected to FAIL: a naive run at that size
+(seed 20261022, 2^31 trials) found 10 successes, p_hat = 4.66e-9 with
+Wilson 95% interval [2.53e-9, 8.57e-9], so the required 100 successes would
+need 1.2e10 to 4.0e10 trials, hours beyond the criterion's 30-minute
+budget and below the library's documented rare-event floor of p ~ 1e-7.
+The test runs an in-budget attempt, checks the decay form on the points
+that do resolve, and reports the m=1024 shortfall honestly rather than
+loosening the check.
 """
 import math
 import os
@@ -273,8 +274,8 @@ def test_c11_scaling_shape():
 
 
 # The m=1024 budget is capped to keep the (expected, documented) failure
-# affordable; raising it toward the criterion's full 30-minute budget only
-# moves the expected success count from ~0.3 to ~2, nowhere near 100.
+# affordable: 12M trials expect about 0.06 successes, and the criterion's
+# full 30-minute budget about 20, nowhere near 100.
 C12_BUDGETS = [
     (16, 30_000),
     (64, 1_000_000),
@@ -317,8 +318,9 @@ def test_c12_sheet_persistence_form():
     shortfall = {r.n: r.successes for r in results if r.successes < 100}
     assert not shortfall, (
         f"points below 100 successes: {shortfall}. The m=1024 event has measured "
-        f"probability ~2.6e-8 (3 successes in 1.15e8 trials), so 100 successes "
-        f"needs ~4e9 trials: unreachable within the 30-minute budget and below "
+        f"probability 4.66e-9 (10 successes in 2^31 trials, Wilson 95% "
+        f"[2.53e-9, 8.57e-9]), so 100 successes need 1.2e10 to 4.0e10 trials: "
+        f"unreachable within the 30-minute budget and below "
         f"the documented rare-event floor of ~1e-7. On the "
         f"{len(resolved)} points that do resolve, -ln p_hat vs (ln m)^2 fits "
         f"with r^2 = {resolved_r2:.4f}."

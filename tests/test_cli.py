@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -447,7 +448,7 @@ class TestChainstat:
             assert main(argv + ["--workers", workers, "--out", str(out_file)]) == EXIT_OK
             outputs.append(out_file.read_bytes())
         assert outputs[0] == outputs[1]
-        assert outputs[0].startswith(b"# schema=chainstat-v3 ")
+        assert outputs[0].startswith(b"# schema=chainstat-v4 ")
 
     def test_writes_file_and_manifest(self, capsys, tmp_path):
         out_file = tmp_path / "chain.csv"
@@ -576,6 +577,10 @@ def test_empty_integer_list_is_config_error(capsys, argv):
         ["chainstat", "--n", "64", "--x", "8", "--y", "65", "--trials", "10", "--seed", "1"],
         ["chainstat", "--n", "0", "--x", "8", "--y", "8", "--trials", "10", "--seed", "1"],
         ["chainstat", "--n", "64", "--x", "8", "--y", "8", "--trials", "0", "--seed", "1"],
+        # above int32 draws: it once asked for 8 GiB of pools and ended in a traceback
+        ["chainstat", "--n", "2147483700", "--x", "1", "--y", "1", "--trials", "1", "--seed", "1"],
+        # numpy's hypergeometric takes populations below 10^9
+        ["chainstat", "--n", "1000000000", "--x", "1", "--y", "1", "--trials", "1", "--seed", "1", "--stat", "strip"],
         ["lishao", "--rho", "1"],
         ["lishao", "--rho", "4", "--index-range", "0"],
         ["hyper", "--N", "5", "--A", "7", "--B", "7", "--k", "1"],
@@ -709,6 +714,36 @@ def test_interrupt_is_one_line_exit_130(capsys, tmp_path, monkeypatch, command, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "error, code, last",
+    [
+        (OSError(errno.ENOSPC, "No space left on device"), EXIT_CONFIG, "config error: cannot write "),
+        (KeyboardInterrupt(), EXIT_INTERRUPTED, "interrupted"),
+    ],
+    ids=["oserror", "interrupt"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [MC_ARGV + ["{dir}/out.csv"], ["pipeline-scaling", "--n-grid", "4,6,8,12", "--trials", "100", "--seed", "1",
+                                  "--out-dir", "{dir}/run"]],
+    ids=["mc", "pipeline-scaling"],
+)
+def test_failed_manifest_write_leaves_no_file(capsys, tmp_path, monkeypatch, argv, error, code, last):
+    # main once wrote each data file in place and then its manifest, so a
+    # failure at the manifest left the data files without one
+    write_bytes = Path.write_bytes
+
+    def failing(path, data):
+        if ".manifest.json" in path.name:
+            raise error
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", failing)
+    got, out, err = run(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+    assert got == code and err.splitlines()[-1].startswith(last)
+    assert [path for path in tmp_path.rglob("*") if not path.is_dir()] == []
+
+
 def _data_digest(text: str) -> str:
     # sha256 of a CSV's data rows: the schema line (it names the software
     # version) and the column header are left out
@@ -735,12 +770,12 @@ def _data_digest(text: str) -> str:
         pytest.param(
             ["chainstat", "--n", "256", "--x", "16,64", "--y", "64,16", "--stat", "rect", "--trials", "1000",
              "--seed", "8"],
-            "bbbd805d6ca3d918903a4221c278826a57a4531fa64a537bb393c3b291b092b2", id="chainstat-v3-rect",
+            "dbc56510d8be9ad035c8fe7362f32ec534f9263ec21117714d16888dfeaf7fdb", id="chainstat-v4-rect",
         ),
         pytest.param(
             ["chainstat", "--n", "256", "--x", "16,64", "--y", "64,16", "--stat", "strip", "--trials", "1000",
              "--seed", "8"],
-            "c7d347bb3ac109b76f2a934cb1a1e5222d669062f1b483c5e4b8897a94f4fe3a", id="chainstat-v3-strip",
+            "03c3edd96860600135b4b9be806f429f65effb2960e638119521f83de4b5aa52", id="chainstat-v4-strip",
         ),
     ],
 )

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -21,6 +22,8 @@ from bruhatmc.dists import (
 )
 from bruhatmc.perms import trial_stream
 from bruhatmc.zprocess import Rectangle
+
+from oracles import rank_words
 
 
 class TestPmf:
@@ -195,6 +198,13 @@ class TestBoxLaw:
         a = box_count_law_check(25, Rectangle(5, 10, 7, 17), 20_000, trial_stream(3))
         assert a.params == HyperGeomParams(25, 10, 5)
         assert a.tv_distance < 0.02
+
+    def test_counts_replay_rank_rows(self):
+        # rows (5, 10] as rows 1..5 by rank over the whole of [25]
+        report = box_count_law_check(25, Rectangle(5, 10, 7, 17), 2000, trial_stream(4))
+        words = rank_words(25, 0, 5, None, (2000,), trial_stream(4))
+        expected = collections.Counter(sum(7 < v <= 17 for v in w[:5]) for w in words)
+        assert report.histogram == dict(expected)
 
     def test_out_of_bounds(self):
         with pytest.raises(ValueError):

@@ -29,9 +29,11 @@ from bruhatmc.estimators import (
 )
 from bruhatmc._parallel import processes, run_blocks, task_size
 from bruhatmc.order import EXACT_COUNT_CAP, _leq_scan, exact_comparability_count
-from bruhatmc.perms import Permutation, permutation_rows, trial_stream
+from bruhatmc.perms import Permutation, trial_stream
 from bruhatmc.zprocess import z_table
 from fractions import Fraction
+
+from oracles import rank_words
 
 
 def synth(n, p, trials=10**9, seed=0):
@@ -102,25 +104,17 @@ def drawn_pairs(n, count, seed):
 
 
 def box_pairs(n, x, y, count, seed):
-    """Replay with permutation_rows the pairs block 0 of box persistence
-    draws; count <= 4096 stays inside block 0.
+    """Replay with rank_words the pairs block 0 of box persistence draws;
+    count <= 4096 stays inside block 0.
 
-    Sub-batches hold at most (1 << 18) // max(5x/4, 5y/4 - y + 1) pairs and
-    draw rows 1..5x/4 of their p's, then of their t's.  Each drawn word is
-    completed to a permutation by its unused values in increasing order,
-    which changes no row of Z up to 5x/4.  Returns the (p, t) pairs and the
-    sub-batch sizes.
+    The block draws rows 1..x - 1 of its p's, then of its t's, by the
+    unused-count chain on columns [y, 5y/4] in one draw of shape
+    (2, count), then rows x..5x/4 by rank, one (2, count) index draw per
+    row for every pair: p's indices in its row 0, t's in its row 1.
+    Returns the (p, t) pairs.
     """
-    last = 5 * x // 4
-    g = trial_stream(seed, 0)
-    batch = (1 << 18) // max(last, 5 * y // 4 - y + 1)
-    pairs, sizes = [], []
-    for start in range(0, count, batch):
-        sizes.append(min(batch, count - start))
-        words = [permutation_rows(n, last, sizes[-1], g).tolist() for _ in range(2)]
-        for p, t in zip(*words):
-            pairs.append(tuple(as_perm(w + sorted(set(range(1, n + 1)).difference(w))) for w in (p, t)))
-    return pairs, sizes
+    words = rank_words(n, x - 1, 5 * x // 4, range(y, 5 * y // 4 + 1), (2, count), trial_stream(seed, 0))
+    return [(as_perm(p), as_perm(t)) for p, t in zip(words[:count], words[count:])]
 
 
 # 7 comparability blocks of pairs, run as tasks of [4, 3], [4, 3], [3, 3, 1]
@@ -188,17 +182,16 @@ class TestSurvivalKernel:
         assert _pair_block(0, count, seed, n) == sum(alive for *_, alive in pairs)
 
     def test_box_window_matches_z_table_oracle(self):
-        # n = 240 spans three sub-batches: 1747, 1747, then 2 pairs; n = 127
-        # is the largest size with int8 Z cells, here under a negative floor;
-        # x = 1 scans row 1 alone from Z(0, .) = 0
+        # n = 240 scans 3496 pairs in one block; n = 127 is the largest size
+        # with int8 cells in comparability's scan, here under a negative
+        # floor; x = 1 scans row 1 alone from Z(0, .) = 0, with no chain drawn
         cases = [
             (40, 10, 12, 0.5, 2000, 77), (200, 40, 50, 0.5, 1400, 78), (127, 30, 40, 0.5, 2000, 79),
             (240, 120, 60, 1.0, 3496, 80), (8, 1, 2, 0.0, 2000, 81),
         ]
         for n, x, y, c_log, count, seed in cases:
             floor_level = -c_log * math.log(n)
-            pairs, sizes = box_pairs(n, x, y, count, seed)
-            assert n != 240 or sizes == [1747, 1747, 2]
+            pairs = box_pairs(n, x, y, count, seed)
             expected = sum(
                 int(z_table(p, t).z[x : 5 * x // 4 + 1, y : 5 * y // 4 + 1].min()) >= floor_level for p, t in pairs
             )
@@ -260,17 +253,17 @@ class TestSurvivalKernel:
         "estimate, args, successes",
         [
             (estimate_comparability, (40, 50_000, 2), 30),
-            (estimate_box_persistence, (1000, 300, 200, 1.0, 3000, 3), 1419),
-            (estimate_box_persistence, (60, 20, 20, 0, 400, 9), 128),
-            (estimate_box_persistence, (60, 20, 20, 0.5, 400, 9), 258),
-            (estimate_box_persistence, (60, 20, 20, 1, 400, 9), 360),
-            (estimate_box_persistence, (60, 20, 20, 2, 400, 9), 400),
+            (estimate_box_persistence, (1000, 300, 200, 1.0, 3000, 3), 1425),
+            (estimate_box_persistence, (60, 20, 20, 0, 400, 9), 129),
+            (estimate_box_persistence, (60, 20, 20, 0.5, 400, 9), 246),
+            (estimate_box_persistence, (60, 20, 20, 1, 400, 9), 357),
+            (estimate_box_persistence, (60, 20, 20, 2, 400, 9), 398),
         ],
     )
     def test_pair_layout_pinned(self, estimate, args, successes):
         # comparability counts are mc-v5; n = 1000 box persistence draws
-        # 375 rows of p, then of t, by permutation_rows for each sub-batch
-        # of at most 699 pairs
+        # the unused counts of rows 1..299 of its 3000 p's and t's on 51
+        # columns, then rows 300..375 by rank for every pair
         assert estimate(*args).successes == successes
 
 
@@ -364,9 +357,9 @@ class TestBoxPersistence:
         ]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
-    def test_coupled_across_sub_batches(self):
-        # 1500 pairs at n = 1000 fill three sub-batches (699, 699, 102);
-        # every floor must see the same pairs in each of them.  The floors
+    def test_coupled_across_floors(self):
+        # 1500 pairs at n = 1000 in one block, every row's indices drawn for
+        # all of them: every floor must see the same pairs.  The floors
         # -(k + 1/2) step the integer floor one at a time, where pairs drawn
         # anew for each floor would break the order by chance.
         grid = {0.0, 0.5, 1.0, 2.0} | {(k + 0.5) / math.log(1000) for k in range(16)}
@@ -392,10 +385,10 @@ class TestBoxPersistence:
             assert estimate_box_persistence(n, x, y, c_log, trials, seed, workers=workers).successes == sum(blocks)
         assert estimate_box_persistence(n, x, y, c_log, 2 * _MC_BLOCK, seed).successes == sum(blocks[:2])
 
-    def test_block_memory_follows_sub_batch_cap(self):
-        # a block of 4096 pairs at n = 1000, x = 300 scans sub-batches of at
-        # most 699 pairs; its rows 1..375 of p and t alone, drawn whole,
-        # would take 5.9 MiB
+    def test_block_memory_follows_window_columns(self):
+        # a block of 4096 pairs at n = 1000, x = 300 holds two unused counts
+        # on each of 51 columns per pair; its rows 1..375 of p and t alone,
+        # drawn whole, would take 5.9 MiB
         args = (1000, 300, 200, 1.0, _MC_BLOCK, 3)
         assert traced_peak(estimate_box_persistence, *args) < 5 * 2**20
 

@@ -1,7 +1,8 @@
+import collections
 import enum
+import itertools
 import math
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,14 +16,16 @@ from bruhatmc.perms import (
     format_permutation,
     inversion_count,
     parse_permutation,
-    permutation_rows,
     prefix_sums,
+    rank_indices,
+    rank_step,
     sample_uniform,
     symmetry_map,
     trial_stream,
+    unused_counts,
 )
 
-from oracles import fisher_yates_words, permutation_error
+from oracles import permutation_error, rank_words
 
 perm_words = st.integers(1, 8).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
@@ -217,39 +220,72 @@ class TestDominanceTable:
         assert (table == expected).all()
 
 
+def replayed_unused_counts(words, a, cols):
+    """U(a, b) = b - #{i <= a : w(i) <= b} of each word, cells-major."""
+    return [[b - sum(v <= b for v in w[:a]) for w in words] for b in cols]
+
+
 class TestPermutationRows:
     @pytest.mark.parametrize(
-        "n, rows, count",
-        [(6, 6, 40), (6, 0, 5), (40, 7, 300), (5000, 3, 500), (40000, 2, 60)],
-        ids=["full", "no-rows", "one-sub-batch", "three-sub-batches", "int32-draws"],
+        "n, first, last, cols, shape",
+        [
+            (6, 0, 6, range(0, 7), (40,)),
+            (6, 0, 0, range(2, 5), (5,)),
+            (40, 7, 12, range(10, 20), (2, 30)),
+            (40, 39, 40, range(1, 41), (25,)),
+            (40000, 3, 5, range(39990, 40001), (20,)),
+        ],
+        ids=["full", "no-rows", "chain-then-rows", "chain-to-n", "int32-draws"],
     )
-    def test_replays_list_swaps(self, n, rows, count):
-        # 5000: sub-batches of 209, 209 and 82; 40000: of 26, 26 and 8
-        words = permutation_rows(n, rows, count, trial_stream(41, n))
-        expected = fisher_yates_words(n, rows, count, trial_stream(41, n))
-        assert words.shape == (count, rows)
-        assert words.dtype == (np.int16 if n < 2 ** 15 else np.int32)
-        assert words.tolist() == [w[:rows] for w in expected]
-        assert all(sorted(w) == list(range(1, n + 1)) for w in expected)
+    def test_replays_list_pops(self, n, first, last, cols, shape):
+        # the chain's rows, then each rank row, against the words that pops
+        # from an explicit list of unused values give for the same stream
+        g = trial_stream(41, n)
+        u = unused_counts(n, first, cols, shape, g)
+        words = rank_words(n, first, last, cols, shape, trial_stream(41, n))
+        assert u.shape == (len(cols), *shape)
+        assert u.dtype == (np.int16 if n < 2 ** 15 else np.int32)
+        assert all(sorted(w) == list(range(1, n + 1)) for w in words)
+        for a in range(first, last + 1):
+            if a > first:
+                rank_step(u, rank_indices(n, a, shape, g))
+            assert u.reshape(len(cols), -1).tolist() == replayed_unused_counts(words, a, cols), a
 
-    def test_memory_is_one_sub_batch_of_pools(self):
-        # at n = 20000 a sub-batch is 52 permutations, 2.0 MiB of pools;
-        # 208 permutations run four sub-batches on the same pools
-        permutation_rows(20000, 2, 52, trial_stream(43))  # warm up numpy's allocations
-        peaks = []
-        for count in (52, 208):
-            tracemalloc.start()
-            try:
-                permutation_rows(20000, 2, count, trial_stream(43))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= 1.1 * peaks[0]
+    @given(st.integers(1, 12).flatmap(
+        lambda n: st.tuples(st.permutations(list(range(1, n + 1))), st.integers(1, n), st.sets(st.integers(0, n)))
+    ))
+    def test_rank_rule_reads_the_word(self, case):
+        # [b - C(a - 1, b) > j] is [b >= v(a)] when v(a) is the value of rank
+        # j among the values that rows 1..a - 1 left unused
+        word, a, cols = case
+        cols = sorted(cols)
+        j = sorted(set(word[a - 1 :])).index(word[a - 1])
+        u = np.array(replayed_unused_counts([word], a - 1, cols), np.int16).reshape(-1)
+        inc = u - rank_step(u.copy(), np.int16(j))
+        assert inc.tolist() == [int(b >= word[a - 1]) for b in cols]
+
+    def test_unused_counts_follow_the_law_of_a_uniform_row_set(self):
+        # the joint law of (C(4, 3), ..., C(4, 6)) at n = 9, against the
+        # exact law over all 126 sets of four rows' values
+        n, rows, cols, trials = 9, 4, range(3, 7), 200_000
+        exact = collections.Counter(
+            tuple(sum(v <= b for v in used) for b in cols) for used in itertools.combinations(range(1, n + 1), rows)
+        )
+        u = unused_counts(n, rows, cols, (trials,), trial_stream(44))
+        drawn = collections.Counter(map(tuple, (np.array(cols)[:, None] - u).T.tolist()))
+        assert set(drawn) == set(exact)
+        tv = sum(abs(drawn[k] / trials - exact[k] / 126) for k in exact) / 2
+        assert tv < 0.01, tv
 
     def test_full_rows_are_uniform_on_s4(self):
-        trials = 24_000
-        words = permutation_rows(4, 4, trials, trial_stream(42))
-        _, counts = np.unique(words, axis=0, return_counts=True)
+        # four rank rows on every column: row a's value is 5 minus the
+        # number of columns whose unused count it lowers
+        trials, u = 24_000, np.repeat(np.arange(1, 5, dtype=np.int16)[:, None], 24_000, axis=1)
+        g, words = trial_stream(42), []
+        for a in range(1, 5):
+            before = u.copy()
+            words.append(5 - (before - rank_step(u, rank_indices(4, a, (trials,), g))).sum(axis=0))
+        _, counts = np.unique(np.array(words).T, axis=0, return_counts=True)
         assert counts.size == 24
         # each count is Binomial(trials, 1/24): 5 standard deviations
         sd = math.sqrt(trials * (1 / 24) * (23 / 24))

@@ -10,7 +10,6 @@ from bruhatmc.order import all_perms, is_leq_strong
 from bruhatmc.perms import Permutation, dominance_table, sample_uniform, trial_stream
 from bruhatmc.zprocess import (
     Rectangle,
-    _window_counts,
     _window_stats,
     decompose_check,
     max_rect_stat,
@@ -20,7 +19,7 @@ from bruhatmc.zprocess import (
     z_table,
 )
 
-from oracles import fisher_yates_words
+from oracles import rank_words
 
 def perm_pairs_up_to(top):
     return st.integers(1, top).flatmap(
@@ -38,15 +37,16 @@ def random_pair(n, seed, trial=0):
     return sample_uniform(n, stream), sample_uniform(n, stream)
 
 
-def chainstat_words(n, trials, seed, r0, r1):
-    """Replay the chainstat-v3 draw as full permutations: block k of 256
-    trials draws the r1 - r0 window rows of each trial from
-    trial_stream(seed, k), which become rows (r0, r1]; the values not drawn
-    fill the other rows in list order."""
+def chainstat_words(n, trials, seed, r0, r1, first, y0, y1):
+    """Replay the chainstat-v4 draw as full permutations: block k of 256
+    trials draws from trial_stream(seed, k) the window rows (r0, r1] of
+    each trial as rows 1..r1 - r0 of rank_words, the first ``first`` of them
+    by the unused-count chain on columns [y0, y1]; the values not drawn fill
+    the other rows in increasing order."""
     words = []
     for lo in range(0, trials, 256):
         g = trial_stream(seed, lo // 256)
-        for w in fisher_yates_words(n, r1 - r0, min(256, trials - lo), g):
+        for w in rank_words(n, first, r1 - r0, range(y0, y1 + 1), (min(256, trials - lo),), g):
             rest = w[r1 - r0 :]
             words.append(rest[:r0] + w[: r1 - r0] + rest[r0:])
     return np.array(words)
@@ -88,7 +88,7 @@ STAT_CASES = [  # (n, x, y, trials, seed)
     (40, 1, 12, 300, 33),
     (40, 40, 12, 300, 34),  # the strip over every row
     (40, 36, 34, 300, 35),  # 5x/4 and 5y/4 clipped at n
-    (1024, 512, 512, 8, 36),  # a 129 x 129 window: 128 row steps (rect), one 512-row count (strip)
+    (1024, 512, 512, 8, 36),  # a 129 x 129 window: 128 rank rows (rect), one unused-count draw at row 512 (strip)
 ]
 STATS = {"rect": max_rect_stat, "strip": max_strip_stat}
 
@@ -227,13 +227,6 @@ class TestDecompose:
 
 
 class TestMaxStats:
-    @pytest.mark.parametrize("rows, cols", [(0, range(3, 7)), (9, range(1, 2)), (9, range(4, 9)), (9, range(12, 13))])
-    def test_window_counts_by_direct_count(self, rows, cols):
-        # values below, inside and above the window, cells-major
-        v = trial_stream(51).integers(1, 13, size=(rows, 7), dtype=np.int16)
-        expected = [[int((v[:, t] <= b).sum()) for t in range(7)] for b in cols]
-        assert _window_counts(v, cols).tolist() == expected
-
     def test_rect_single_cell_window(self):
         summary = max_rect_stat(16, 1, 1, 50, 3)
         assert summary.mean <= 1.0
@@ -243,7 +236,7 @@ class TestMaxStats:
         assert summary.mean == 0.0
 
     def test_window_draw_memory_is_bounded(self):
-        # a 2-row window at n = 65536 draws 2 rows per trial, in sub-batches
+        # a 2-row window at n = 65536 draws 2 rows per trial on 3 columns
         tracemalloc.start()
         try:
             max_rect_stat(65536, 8, 8, 256, 1)
@@ -251,6 +244,19 @@ class TestMaxStats:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20, peak
+
+    @pytest.mark.parametrize("stat", STATS)
+    def test_window_draw_holds_no_pool_of_n_values(self, stat):
+        # a trial holds its unused counts on the window's 2 columns: a pool
+        # of n int32 values per trial would take 256 MiB here
+        STATS[stat](64, 4, 4, 64, 2)  # warm up numpy's allocations
+        tracemalloc.start()
+        try:
+            STATS[stat](2 ** 26, 4, 4, 64, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
 
     def test_strip_max_monotone_in_width(self):
         # per-trial: the max over nested windows can only grow
@@ -294,11 +300,14 @@ class TestMaxStats:
         for n, x, y, trials, seed in STAT_CASES:
             window = window_args(stat, n, x, y)
             r0, r1, first, y0, y1 = window
-            words = chainstat_words(n, trials, seed, r0, r1)
+            words = chainstat_words(n, trials, seed, *window)
             expected = [table_window_stat(w, *window) for w in words]
             if n <= 64:
                 assert expected == [rect_sum_window_stat(w, *window) for w in words]
-            got = _window_stats(words[:, r0:r1], n, first, y0, y1)
+            got = np.concatenate([
+                _window_stats(trial_stream(seed, lo // 256), n, r1 - r0, first, min(256, trials - lo), y0, y1)
+                for lo in range(0, trials, 256)
+            ])
             assert got.tolist() == expected, (n, x, y)
             summary = STATS[stat](n, x, y, trials, seed)
             assert summary.trials == trials
